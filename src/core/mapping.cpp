@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/brown_conrady.hpp"
+#include "parallel/parallel_rows.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
@@ -37,37 +38,35 @@ constexpr float kFarOutside = -1.0e9f;
 
 }  // namespace
 
-WarpMap build_map(const FisheyeCamera& camera, const ViewProjection& view) {
-  WarpMap map = alloc_map(view.width(), view.height());
-  for (int y = 0; y < map.height; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
-    for (int x = 0; x < map.width; ++x) {
-      const util::Vec3 ray = view.ray_for_pixel(
-          {static_cast<double>(x), static_cast<double>(y)});
-      const util::Vec2 src = camera.project(ray);
-      map.src_x[row + x] = static_cast<float>(src.x);
-      map.src_y[row + x] = static_cast<float>(src.y);
-    }
-  }
-  return map;
+WarpMap build_map(const FisheyeCamera& camera, const ViewProjection& view,
+                  unsigned workers) {
+  return build_map_window(camera, view, {0, 0, view.width(), view.height()},
+                          workers);
 }
 
 WarpMap build_map_window(const FisheyeCamera& camera,
-                         const ViewProjection& view, par::Rect window) {
+                         const ViewProjection& view, par::Rect window,
+                         unsigned workers) {
   WarpMap map = alloc_map(window.width(), window.height());
-  for (int y = 0; y < map.height; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
-    const int vy = window.y0 + y;
-    for (int x = 0; x < map.width; ++x) {
-      // Absolute view coordinates, cast exactly as build_map casts them, so
-      // the window is a bit-exact crop of the full map.
-      const util::Vec3 ray = view.ray_for_pixel(
-          {static_cast<double>(window.x0 + x), static_cast<double>(vy)});
-      const util::Vec2 src = camera.project(ray);
-      map.src_x[row + x] = static_cast<float>(src.x);
-      map.src_y[row + x] = static_cast<float>(src.y);
-    }
-  }
+  par::parallel_rows(
+      map.height, map.width,
+      [&](std::size_t y0, std::size_t y1) {
+        for (std::size_t y = y0; y < y1; ++y) {
+          const std::size_t row = y * map.width;
+          const double vy =
+              static_cast<double>(window.y0 + static_cast<int>(y));
+          for (int x = 0; x < map.width; ++x) {
+            // Absolute view coordinates, so a window is a bit-exact crop of
+            // the full map.
+            const util::Vec3 ray = view.ray_for_pixel(
+                {static_cast<double>(window.x0 + x), vy});
+            const util::Vec2 src = camera.project(ray);
+            map.src_x[row + x] = static_cast<float>(src.x);
+            map.src_y[row + x] = static_cast<float>(src.y);
+          }
+        }
+      },
+      workers);
   return map;
 }
 
@@ -121,7 +120,7 @@ WarpMap build_brown_conrady_map(const BrownConrady& model, double src_cx,
 }
 
 PackedMap pack_map(const WarpMap& map, int src_width, int src_height,
-                   int frac_bits) {
+                   int frac_bits, unsigned workers) {
   FE_EXPECTS(src_width > 0 && src_height > 0);
   FE_EXPECTS(frac_bits >= 1 && frac_bits <= 22);
   PackedMap packed;
@@ -135,24 +134,30 @@ PackedMap pack_map(const WarpMap& map, int src_width, int src_height,
   // The packed kernel clamps the bilinear footprint instead of testing it,
   // so coordinates are clamped into [0, dim-1] with the fractional part of
   // edge pixels zeroed; fully-outside pixels become the sentinel.
-  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
-    const double sx = map.src_x[i];
-    const double sy = map.src_y[i];
-    const bool outside = sx <= -1.0 || sy <= -1.0 ||
-                         sx >= static_cast<double>(src_width) ||
-                         sy >= static_cast<double>(src_height);
-    if (outside) {
-      packed.fx[i] = PackedMap::kInvalid;
-      packed.fy[i] = PackedMap::kInvalid;
-      continue;
-    }
-    const double cx = util::clamp(sx, 0.0, src_width - 1.0);
-    const double cy = util::clamp(sy, 0.0, src_height - 1.0);
-    packed.fx[i] = static_cast<std::int32_t>(std::lround(cx * scale));
-    packed.fy[i] = static_cast<std::int32_t>(std::lround(cy * scale));
-    // lround can land exactly on (dim-1).0; the kernel's x0+1 access is then
-    // clamped there, so no further adjustment is needed.
-  }
+  const std::size_t width = static_cast<std::size_t>(map.width);
+  par::parallel_rows(
+      map.height, width,
+      [&](std::size_t y0, std::size_t y1) {
+        for (std::size_t i = y0 * width; i < y1 * width; ++i) {
+          const double sx = map.src_x[i];
+          const double sy = map.src_y[i];
+          const bool outside = sx <= -1.0 || sy <= -1.0 ||
+                               sx >= static_cast<double>(src_width) ||
+                               sy >= static_cast<double>(src_height);
+          if (outside) {
+            packed.fx[i] = PackedMap::kInvalid;
+            packed.fy[i] = PackedMap::kInvalid;
+            continue;
+          }
+          const double cx = util::clamp(sx, 0.0, src_width - 1.0);
+          const double cy = util::clamp(sy, 0.0, src_height - 1.0);
+          packed.fx[i] = static_cast<std::int32_t>(std::lround(cx * scale));
+          packed.fy[i] = static_cast<std::int32_t>(std::lround(cy * scale));
+          // lround can land exactly on (dim-1).0; the kernel's x0+1 access
+          // is then clamped there, so no further adjustment is needed.
+        }
+      },
+      workers);
   return packed;
 }
 
@@ -183,7 +188,7 @@ double sample_extrapolated(const WarpMap& map, const std::vector<float>& v,
 }  // namespace
 
 CompactMap compact_map(const WarpMap& map, int src_width, int src_height,
-                       int stride, int frac_bits) {
+                       int stride, int frac_bits, unsigned workers) {
   FE_EXPECTS(src_width > 0 && src_height > 0);
   FE_EXPECTS(stride >= 1 && stride <= 64 && (stride & (stride - 1)) == 0);
   // frac_bits is capped at 16 (not pack_map's 22) so saturated coordinates
@@ -202,35 +207,60 @@ CompactMap compact_map(const WarpMap& map, int src_width, int src_height,
   cm.gy.resize(cm.gx.size());
 
   const double scale = static_cast<double>(std::int64_t{1} << frac_bits);
-  for (int cy = 0; cy < cm.grid_h; ++cy) {
-    for (int cx = 0; cx < cm.grid_w; ++cx) {
-      const int px = cx * stride;
-      const int py = cy * stride;
-      cm.gx[cm.index(cx, cy)] = static_cast<std::int32_t>(
-          std::lround(sample_extrapolated(map, map.src_x, px, py) * scale));
-      cm.gy[cm.index(cx, cy)] = static_cast<std::int32_t>(
-          std::lround(sample_extrapolated(map, map.src_y, px, py) * scale));
-    }
-  }
+  par::parallel_rows(
+      cm.grid_h, cm.grid_w,
+      [&](std::size_t cy0, std::size_t cy1) {
+        for (int cy = static_cast<int>(cy0); cy < static_cast<int>(cy1); ++cy) {
+          for (int cx = 0; cx < cm.grid_w; ++cx) {
+            const int px = cx * stride;
+            const int py = cy * stride;
+            cm.gx[cm.index(cx, cy)] = static_cast<std::int32_t>(std::lround(
+                sample_extrapolated(map, map.src_x, px, py) * scale));
+            cm.gy[cm.index(cx, cy)] = static_cast<std::int32_t>(std::lround(
+                sample_extrapolated(map, map.src_y, px, py) * scale));
+          }
+        }
+      },
+      workers);
 
   // Measure reconstruction error over source-valid pixels (pack_map's
-  // validity rule); per-pixel error is the worse of the two axes.
+  // validity rule); per-pixel error is the worse of the two axes. Rows keep
+  // their own max/sum/count and are folded in row order, so the result is
+  // the same for any worker count.
+  struct RowError {
+    double max = 0.0, sum = 0.0;
+    std::size_t valid = 0;
+  };
+  std::vector<RowError> rows(static_cast<std::size_t>(map.height));
+  par::parallel_rows(
+      map.height, map.width,
+      [&](std::size_t y0, std::size_t y1) {
+        for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y) {
+          RowError r;
+          for (int x = 0; x < map.width; ++x) {
+            const double sx = map.src_x[map.index(x, y)];
+            const double sy = map.src_y[map.index(x, y)];
+            if (sx <= -1.0 || sy <= -1.0 ||
+                sx >= static_cast<double>(src_width) ||
+                sy >= static_cast<double>(src_height))
+              continue;
+            const CompactEntry e = reconstruct_entry(cm, x, y);
+            const double err = std::max(std::abs(e.fx / scale - sx),
+                                        std::abs(e.fy / scale - sy));
+            r.max = std::max(r.max, err);
+            r.sum += err;
+            ++r.valid;
+          }
+          rows[static_cast<std::size_t>(y)] = r;
+        }
+      },
+      workers);
   double max_err = 0.0, sum_err = 0.0;
   std::size_t valid = 0;
-  for (int y = 0; y < map.height; ++y) {
-    for (int x = 0; x < map.width; ++x) {
-      const double sx = map.src_x[map.index(x, y)];
-      const double sy = map.src_y[map.index(x, y)];
-      if (sx <= -1.0 || sy <= -1.0 || sx >= static_cast<double>(src_width) ||
-          sy >= static_cast<double>(src_height))
-        continue;
-      const CompactEntry e = reconstruct_entry(cm, x, y);
-      const double err = std::max(std::abs(e.fx / scale - sx),
-                                  std::abs(e.fy / scale - sy));
-      max_err = std::max(max_err, err);
-      sum_err += err;
-      ++valid;
-    }
+  for (const RowError& r : rows) {
+    max_err = std::max(max_err, r.max);
+    sum_err += r.sum;
+    valid += r.valid;
   }
   cm.max_error = static_cast<float>(max_err);
   cm.mean_error =

@@ -173,7 +173,14 @@ struct CompactEntry {
 
 /// Build the inverse map for correcting `camera`'s distortion into `view`.
 /// For every output pixel: ray_for_pixel -> camera.project.
-WarpMap build_map(const FisheyeCamera& camera, const ViewProjection& view);
+///
+/// This and the other set-up passes below (build_map_window, pack_map,
+/// compact_map) run row-parallel through par::parallel_rows; `workers` is
+/// its worker count, 0 (the default) meaning the host's cores, with small
+/// maps inline on the caller. Every pixel is computed independently by the
+/// same code, so the result is bit-identical for any worker count.
+WarpMap build_map(const FisheyeCamera& camera, const ViewProjection& view,
+                  unsigned workers = 0);
 
 /// Windowed build: the map for output pixels [x0,x1) x [y0,y1) of `view`,
 /// bit-exact equal to the corresponding region of build_map(camera, view)
@@ -182,7 +189,8 @@ WarpMap build_map(const FisheyeCamera& camera, const ViewProjection& view);
 /// pads compact-mode windows one stride right/bottom so every grid line the
 /// kernels read is sampled rather than extrapolated.
 WarpMap build_map_window(const FisheyeCamera& camera,
-                         const ViewProjection& view, par::Rect window);
+                         const ViewProjection& view, par::Rect window,
+                         unsigned workers = 0);
 
 /// Build the *synthesis* map that renders a fisheye image from an ideal
 /// pinhole scene: for every fisheye pixel, the scene pixel it sees. Scene
@@ -204,14 +212,14 @@ WarpMap build_brown_conrady_map(const BrownConrady& model, double src_cx,
 /// bilinear footprint lies fully outside [0,src_w)x[0,src_h) become
 /// kInvalid; the remaining ones are clamped into the valid footprint.
 PackedMap pack_map(const WarpMap& map, int src_width, int src_height,
-                   int frac_bits = 14);
+                   int frac_bits = 14, unsigned workers = 0);
 
 /// Subsample a float map onto a stride×stride fixed-point grid. `stride`
 /// must be a power of two in [1, 64]. Measures max/mean reconstruction
 /// error against `map` over source-valid pixels and stores them in the
 /// result. stride == 1 stores every pixel exactly (no reconstruction loss).
 CompactMap compact_map(const WarpMap& map, int src_width, int src_height,
-                       int stride, int frac_bits = 14);
+                       int stride, int frac_bits = 14, unsigned workers = 0);
 
 /// Source-space bounding box (in whole pixels, inclusive of the bilinear
 /// footprint) touched by output rect `r`; empty() when no valid pixel maps

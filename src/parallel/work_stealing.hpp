@@ -103,6 +103,13 @@ class StealQueue {
     size_.store(items_.size(), std::memory_order_relaxed);
   }
 
+  /// Pre-size the storage for `n` items, so that parking a steal of up to
+  /// `n` items later never allocates.
+  void reserve(std::size_t n) {
+    const std::scoped_lock lock(mu_);
+    items_.reserve(n);
+  }
+
   /// Owner pop (LIFO tail). Returns false when empty.
   bool pop(std::uint32_t& out) {
     const std::scoped_lock lock(mu_);
@@ -176,6 +183,11 @@ class StealScheduler {
     remaining_.store(n, std::memory_order_relaxed);
     for (std::size_t w = 0; w < blocks_.size(); ++w) {
       FE_EXPECTS(runs[w] <= runs[w + 1]);
+      // A steal takes at most n items and parks them in the thief's queue:
+      // sizing both for n up front keeps every frame after the first
+      // allocation-free, however late or large its steals are.
+      blocks_[w].loot.reserve(n);
+      blocks_[w].queue.reserve(n);
       blocks_[w].queue.assign(order, runs[w], runs[w + 1]);
       blocks_[w].foreign = false;
       blocks_[w].local = 0;

@@ -105,6 +105,23 @@ TEST(CompactMap, StoredErrorMatchesBruteForceRecomputation) {
                   static_cast<float>(sum_err / static_cast<double>(valid)));
 }
 
+TEST(CompactMap, IdenticalForAnyWorkerCount) {
+  // The grid is per-cell and the error scan folds per-row partials in row
+  // order, so every field — errors included — is the same for 1 or N
+  // workers. 131 rows is not a multiple of the row band.
+  const WarpMap map = test_map(257, 131);
+  for (const int stride : {1, 8}) {
+    const CompactMap one = compact_map(map, 257, 131, stride, 14, 1);
+    for (const unsigned workers : {2u, 5u}) {
+      const CompactMap many = compact_map(map, 257, 131, stride, 14, workers);
+      EXPECT_EQ(many.gx, one.gx) << stride << " " << workers;
+      EXPECT_EQ(many.gy, one.gy) << stride << " " << workers;
+      EXPECT_EQ(many.max_error, one.max_error) << stride << " " << workers;
+      EXPECT_EQ(many.mean_error, one.mean_error) << stride << " " << workers;
+    }
+  }
+}
+
 TEST(CompactMap, StrideOneReconstructionIsQuantizationOnly) {
   // stride == 1 stores every pixel: the only residual is fixed-point
   // rounding, half an lsb at frac_bits = 14.

@@ -1,10 +1,16 @@
-// Warp-map generation, fixed-point packing, bbox analysis.
+// Warp-map generation, fixed-point packing, bbox analysis; the row-parallel
+// set-up passes against per-pixel serial references.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include "core/brown_conrady.hpp"
 #include "core/mapping.hpp"
+#include "core/model_spec.hpp"
 #include "util/mathx.hpp"
 
 namespace fisheye::core {
@@ -191,6 +197,110 @@ TEST(ValidFraction, FisheyeMapMostlyValid) {
   const double frac = valid_fraction(map, 320, 240);
   EXPECT_GT(frac, 0.9);
   EXPECT_LE(frac, 1.0);
+}
+
+// --- row-parallel set-up ---------------------------------------------------
+
+// Bitwise float equality: NaN-safe and stricter than == about signed zeros.
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+// The serial per-pixel definition of a map: for each output pixel,
+// ray_for_pixel -> camera.project, cast to float.
+::testing::AssertionResult matches_serial_reference(
+    const FisheyeCamera& cam, const ViewProjection& view, const WarpMap& map,
+    par::Rect window) {
+  if (map.width != window.width() || map.height != window.height())
+    return ::testing::AssertionFailure() << "dims " << map.width << "x"
+                                         << map.height;
+  for (int y = 0; y < map.height; ++y)
+    for (int x = 0; x < map.width; ++x) {
+      const util::Vec2 src = cam.project(view.ray_for_pixel(
+          {static_cast<double>(window.x0 + x),
+           static_cast<double>(window.y0 + y)}));
+      const std::size_t i = map.index(x, y);
+      if (!same_bits(map.src_x[i], static_cast<float>(src.x)) ||
+          !same_bits(map.src_y[i], static_cast<float>(src.y)))
+        return ::testing::AssertionFailure() << "pixel " << x << "," << y;
+    }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BuildMapParallel, MatchesSerialReferenceForEveryLensViewAndSize) {
+  const char* lenses[] = {"equidistant",
+                          "equisolid",
+                          "orthographic",
+                          "stereographic",
+                          "rectilinear:fov=120",
+                          "kannala_brandt:k1=-0.02,fov=170",
+                          "division"};
+  const char* views[] = {"perspective", "cylindrical", "equirect",
+                         "quadview"};
+  struct Size {
+    int w, h;
+  };
+  // 131 rows is not a multiple of the row band.
+  const Size sizes[] = {{1, 1}, {7, 3}, {257, 131}};
+  for (const char* lens : lenses) {
+    const FisheyeCamera cam =
+        FisheyeCamera::centered(LensSpec::parse(lens), 320, 240);
+    for (const char* view_spec : views) {
+      const ViewSpec vs = ViewSpec::parse(view_spec);
+      for (const Size sz : sizes) {
+        // QuadView needs even dims: build it one pixel larger where needed
+        // and check the odd-sized window as well as the full map.
+        const bool quad = vs.kind == ViewKind::QuadView;
+        const int vw = quad ? sz.w + sz.w % 2 : sz.w;
+        const int vh = quad ? sz.h + sz.h % 2 : sz.h;
+        const std::unique_ptr<ViewProjection> view =
+            vs.make(vw, vh, cam.lens().focal());
+        const par::Rect window{0, 0, sz.w, sz.h};
+        for (const unsigned workers : {1u, 2u, 5u}) {
+          const std::string where = std::string(lens) + " " + view_spec + " " +
+                                    std::to_string(sz.w) + "x" +
+                                    std::to_string(sz.h) + " workers=" +
+                                    std::to_string(workers);
+          EXPECT_TRUE(matches_serial_reference(
+              cam, *view, build_map(cam, *view, workers), {0, 0, vw, vh}))
+              << where;
+          EXPECT_TRUE(matches_serial_reference(
+              cam, *view, build_map_window(cam, *view, window, workers),
+              window))
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(BuildMapParallel, OffsetWindowIsACropAtAnyWorkerCount) {
+  const FisheyeCamera cam = test_camera(320, 240);
+  const PerspectiveView view(320, 240, cam.lens().focal());
+  const WarpMap whole = build_map(cam, view, 1);
+  const par::Rect window{13, 7, 300, 229};
+  for (const unsigned workers : {1u, 2u, 5u}) {
+    const WarpMap crop = build_map_window(cam, view, window, workers);
+    for (int y = 0; y < crop.height; ++y)
+      for (int x = 0; x < crop.width; ++x) {
+        const std::size_t w = whole.index(window.x0 + x, window.y0 + y);
+        const std::size_t c = crop.index(x, y);
+        ASSERT_TRUE(same_bits(crop.src_x[c], whole.src_x[w])) << x << "," << y;
+        ASSERT_TRUE(same_bits(crop.src_y[c], whole.src_y[w])) << x << "," << y;
+      }
+  }
+}
+
+TEST(PackMapParallel, IdenticalForAnyWorkerCount) {
+  const FisheyeCamera cam = test_camera(257, 131);
+  const PerspectiveView view(257, 131, cam.lens().focal());
+  const WarpMap map = build_map(cam, view);
+  const PackedMap one = pack_map(map, 257, 131, 14, 1);
+  for (const unsigned workers : {2u, 5u}) {
+    const PackedMap many = pack_map(map, 257, 131, 14, workers);
+    EXPECT_EQ(many.fx, one.fx) << workers;
+    EXPECT_EQ(many.fy, one.fy) << workers;
+  }
 }
 
 }  // namespace

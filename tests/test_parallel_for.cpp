@@ -1,15 +1,19 @@
 // parallel_for scheduling-policy semantics: exactly-once coverage for every
-// schedule, contiguity of chunks, exception propagation.
+// schedule, contiguity of chunks, exception propagation; the same contract
+// for the pool-free parallel_rows set-up loop, plus its inline threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
+#include "parallel/parallel_rows.hpp"
 #include "util/error.hpp"
 
 namespace fisheye::par {
@@ -160,6 +164,91 @@ TEST(ParallelForEach, SumsCorrectly) {
       pool, 1000, [&sum](std::size_t i) { sum.fetch_add(static_cast<long long>(i)); },
       {Schedule::Guided, 4});
   EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
+}
+
+// --- parallel_rows ----------------------------------------------------------
+
+TEST(ParallelRows, CoversEveryRowExactlyOnce) {
+  // 131 rows is not a multiple of the band at either width.
+  for (const std::size_t cols : {1u, 257u, 5000u}) {
+    for (const unsigned workers : {0u, 1u, 2u, 5u, 16u}) {
+      std::vector<std::atomic<int>> hits(131);
+      parallel_rows(
+          hits.size(), cols,
+          [&hits](std::size_t b, std::size_t e) {
+            ASSERT_LT(b, e);
+            for (std::size_t y = b; y < e; ++y) hits[y].fetch_add(1);
+          },
+          workers);
+      for (std::size_t y = 0; y < hits.size(); ++y)
+        EXPECT_EQ(hits[y].load(), 1) << cols << " " << workers << " " << y;
+    }
+  }
+}
+
+TEST(ParallelRows, ZeroRowsNeverCallsBody) {
+  int calls = 0;
+  parallel_rows(0, 100, [&calls](std::size_t, std::size_t) { ++calls; }, 4);
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelRows, ExplicitWorkersRunOnSeveralThreads) {
+  // One row per band at this width; a blocking body forces all four
+  // workers to take part, whatever the host's core count.
+  std::mutex mu;
+  std::vector<std::thread::id> ids;
+  std::atomic<int> arrived{0};
+  parallel_rows(
+      4, 4096,
+      [&](std::size_t, std::size_t) {
+        {
+          const std::scoped_lock lock(mu);
+          ids.push_back(std::this_thread::get_id());
+        }
+        arrived.fetch_add(1);
+        while (arrived.load() < 4) std::this_thread::yield();
+      },
+      4);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()) - ids.begin(), 4);
+}
+
+TEST(ParallelRows, RethrowsExceptionFromABand) {
+  for (const unsigned workers : {1u, 3u}) {
+    std::atomic<int> bands{0};
+    EXPECT_THROW(parallel_rows(
+                     64, 4096,
+                     [&bands](std::size_t b, std::size_t e) {
+                       bands.fetch_add(1);
+                       if (b <= 17 && 17 < e)
+                         throw std::runtime_error("row 17");
+                     },
+                     workers),
+                 std::runtime_error)
+        << workers;
+    EXPECT_GE(bands.load(), 1);
+  }
+}
+
+TEST(ParallelRows, SmallPassesRunInlineOnTheCaller) {
+  // The serve plan cache's window maps are 128x96: below the threshold at
+  // any core count, so they never start a thread.
+  EXPECT_EQ(row_workers(96, 128), 1u);
+  EXPECT_EQ(row_workers(131, 257), 1u);
+  EXPECT_EQ(row_workers(1, kMinRowWorkerPixels - 1), 1u);
+  EXPECT_GE(row_workers(1080, 1920), 1u);
+  EXPECT_LE(row_workers(1080, 1920),
+            std::max(1u, std::thread::hardware_concurrency()));
+
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_rows(96, 128, [&](std::size_t b, std::size_t e) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(b, 0u);  // inline: one call over every row
+    EXPECT_EQ(e, 96u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace
