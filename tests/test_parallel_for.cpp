@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,11 +21,20 @@
 namespace fisheye::par {
 namespace {
 
+// gtest names each case by dumping the bytes of Case, so every byte must be
+// set: `gap` fills the alignment hole after the 4-byte enum, which would
+// otherwise carry stack garbage into the test name and change it run to run.
 struct Case {
+  constexpr Case(Schedule s, std::size_t n_, std::size_t chunk_)
+      : schedule(s), n(n_), chunk(chunk_) {}
+
   Schedule schedule;
+  std::uint32_t gap = 0;
   std::size_t n;
   std::size_t chunk;
 };
+static_assert(sizeof(Schedule) == 4 &&
+              std::has_unique_object_representations_v<Case>);
 
 class ParallelForSweep : public ::testing::TestWithParam<Case> {};
 
