@@ -6,6 +6,9 @@
 // kernel-quality constant each optimization step buys (scalar gathers ->
 // shuffle-based SIMD extraction) and the buffering mode.
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "accel/accel_backend.hpp"
 
@@ -111,6 +114,65 @@ int main(int argc, char** argv) {
     dp_row("+ AVX2 gather", "simd:threads=1,datapath=gather");
     dp_row("+ autotuned plan", "simd:threads=1,tuned=auto");
     dp.print(std::cout, "F14c: datapath ladder at 1080p (measured)");
+  }
+
+  // --- Datapath pair on an RGB compact frame ---
+  // The integer-map gather kernel (per-cell compact pass 1, three-channel
+  // AVX2 pass 2) against the scalar kernel on the map the stream executor
+  // runs. Frames alternate between the two plans so both sides see the
+  // same host load; "vs scalar" is the median of the per-pair ratios.
+  // Printed after the 1080p table, whose rows the CI gate reads.
+  {
+    const img::Image8 rsrc = bench::make_input(w, h, 3);
+    const core::Corrector rcorr = core::Corrector::builder(w, h)
+                                      .map_mode(core::MapMode::CompactLut)
+                                      .compact_stride(8)
+                                      .build();
+    const std::string specs[2] = {"simd:threads=1,datapath=scalar",
+                                  "simd:threads=1,datapath=gather"};
+    std::unique_ptr<core::Backend> backends[2];
+    core::Corrector::Prepared prepared[2];
+    img::Image8 outs[2] = {img::Image8(w, h, 3), img::Image8(w, h, 3)};
+    for (int k = 0; k < 2; ++k) {
+      backends[k] = bench::make_backend(specs[k]);
+      prepared[k] = rcorr.prepare(*backends[k], 3);
+      rcorr.correct(prepared[k], rsrc.view(), outs[k].view());  // warm-up
+    }
+    const int pairs = bench::quick() ? 7 : 21;
+    std::vector<double> secs[2], ratio;
+    for (int p = 0; p < pairs; ++p) {
+      double t[2];
+      for (int k = 0; k < 2; ++k) {
+        const rt::Stopwatch sw;
+        rcorr.correct(prepared[k], rsrc.view(), outs[k].view());
+        t[k] = sw.elapsed_seconds();
+        secs[k].push_back(t[k]);
+      }
+      ratio.push_back(t[0] / t[1]);
+    }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const bool exact =
+        img::equal_pixels<std::uint8_t>(outs[0].view(), outs[1].view());
+    util::Table rgb({"step", "datapath", "isa", "ms/frame", "fps",
+                     "vs scalar", "bit-exact"});
+    for (int k = 0; k < 2; ++k) {
+      const double s = median(secs[k]);
+      rgb.row()
+          .add(k == 0 ? "720p RGB compact:8, scalar" : "+ AVX2 gather")
+          .add(core::variant_name(prepared[k].plan.kernel().key().variant))
+          .add(util::cpu_info().isa())
+          .add(s * 1e3, 2)
+          .add(rt::fps_from_seconds(s), 1)
+          .add(k == 0 ? 1.0 : median(ratio), 2)
+          .add(exact ? "yes" : "NO");
+      rgb.annotate(backends[k]->name());
+    }
+    rgb.print(std::cout,
+              "F14c (RGB pair): 720p RGB compact:8, 1 thread, alternated "
+              "frames (measured)");
   }
 
   // --- Cell ladder (cycle model) ---

@@ -112,6 +112,26 @@ ExecutionPlan Corrector::prepare_stream(int channels, int tile_w,
                             kStreamPlanName);
 }
 
+namespace {
+
+/// Datapath for service plans. Integer maps take the gather kernel, which
+/// is bit-exact against scalar, so stream and serve output does not depend
+/// on the host ISA (effective_variant degrades it to SoA or scalar where
+/// AVX2 is missing). FloatLut stays scalar: its gather kernel quantizes
+/// the weights to 8.8 and only agrees within one level, while the stream
+/// and serve layers promise output bit-exact against the serial backend.
+KernelVariant service_variant(const ExecContext& ctx) noexcept {
+  if (ctx.mode != MapMode::PackedLut && ctx.mode != MapMode::CompactLut)
+    return KernelVariant::Scalar;
+  const KernelKey gather{ctx.mode, ctx.opts.interp, ctx.opts.border,
+                         PixelLayout::InterleavedU8,
+                         KernelVariant::SimdGather};
+  return kernel_supported(gather) ? KernelVariant::SimdGather
+                                  : KernelVariant::Scalar;
+}
+
+}  // namespace
+
 ExecutionPlan build_service_plan(const ExecContext& ctx, int tile_w, int tile_h,
                                  std::string plan_name, int tile_region_w,
                                  int tile_region_h) {
@@ -125,7 +145,7 @@ ExecutionPlan build_service_plan(const ExecContext& ctx, int tile_w, int tile_h,
       ctx, par::partition(tile_region_w, tile_region_h,
                           par::PartitionKind::Tiles, 0, tile_w, tile_h));
   ExecutionPlan plan(plan_key(ctx, std::move(plan_name)), std::move(tiles));
-  plan.set_kernel(resolve_kernel(ctx, KernelVariant::Scalar));
+  plan.set_kernel(resolve_kernel(ctx, service_variant(ctx)));
 
   Workspace& ws = plan.workspace();
   const std::size_t n = plan.tiles().size();

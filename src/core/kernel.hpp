@@ -114,7 +114,8 @@ struct TileArgs {
   par::Rect rect{};
   int src_off_x = 0;
   int src_off_y = 0;
-  /// SoA strip scratch for SimdSoa kernels; null = per-call stack scratch.
+  /// Strip scratch for the SimdSoa/SimdGather kernels; null = per-call
+  /// stack scratch (what stream and serve tiles use).
   simd::SoaScratch* scratch = nullptr;
 };
 

@@ -8,15 +8,17 @@
 // factored 8.8 blend
 //   v = (256-ay) * ((256-ax) p00 + ax p10) + ay * ((256-ax) p01 + ax p11)
 // accumulates in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up
-// and packs to bytes. Lanes excluded from the vector path — invalid
+// and packs to bytes; three-channel frames gather each tap row twice and
+// blend per channel. Lanes excluded from the vector path — invalid
 // samples, edge-clamped footprints, dword reads that would overrun the
-// buffer's last padded row — are finished by the scalar fixup loop over
-// the same scratch, so every lane runs the identical integer arithmetic.
+// buffer's last bytes — are finished by the scalar fixup loop over the
+// same scratch, so every lane runs the identical integer arithmetic.
 #include "simd/remap_gather.hpp"
 
 #include <algorithm>
 #include <cmath>
 
+#include "simd/compact_pass1.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
@@ -43,50 +45,47 @@ inline int clamp_strip(int strip) noexcept {
   return std::clamp(strip, 8, kSoaStrip);
 }
 
-/// One pixel of the 8.8 integer blend from scratch slot `i` (ch == 1).
-inline std::uint8_t blend_one(const SoaScratch& s, int i,
-                              const std::uint8_t* __restrict base,
-                              std::size_t pitch) noexcept {
+/// One pixel of the 8.8 integer blend from scratch slot `i` into o[0, ch).
+inline void blend_one(const SoaScratch& s, int i,
+                      const std::uint8_t* __restrict base, std::size_t pitch,
+                      int ch, std::uint8_t* __restrict o) noexcept {
   const std::uint8_t* __restrict r0 =
       base + static_cast<std::size_t>(s.y0[i]) * pitch;
   const std::uint8_t* __restrict r1 =
       base + static_cast<std::size_t>(s.y1[i]) * pitch;
+  const int lx0 = s.x0[i] * ch;
+  const int lx1 = s.x1[i] * ch;
   const int ax = s.ax[i], ay = s.ay[i];
-  const int t0 = (256 - ax) * r0[s.x0[i]] + ax * r0[s.x1[i]];
-  const int t1 = (256 - ax) * r1[s.x0[i]] + ax * r1[s.x1[i]];
-  const int v = (256 - ay) * t0 + ay * t1;
-  return static_cast<std::uint8_t>((v + (1 << 15)) >> 16);
+  for (int c = 0; c < ch; ++c) {
+    const int t0 = (256 - ax) * r0[lx0 + c] + ax * r0[lx1 + c];
+    const int t1 = (256 - ax) * r1[lx0 + c] + ax * r1[lx1 + c];
+    const int v = (256 - ay) * t0 + ay * t1;
+    o[c] = static_cast<std::uint8_t>((v + (1 << 15)) >> 16);
+  }
 }
 
 /// Scalar pass 2 over scratch slots [i0, i1): the fallback for non-AVX2
-/// builds, vector-loop tails, and multi-channel frames.
+/// builds, vector-loop tails, and channel counts other than 1 and 3.
 void blend_span_scalar(const SoaScratch& s, int i0, int i1,
                        const std::uint8_t* __restrict base, std::size_t pitch,
                        int ch, std::uint8_t* __restrict out,
                        std::uint8_t fill) noexcept {
-  if (ch == 1) {
-    for (int i = i0; i < i1; ++i)
-      out[i] = s.valid[i] ? blend_one(s, i, base, pitch) : fill;
+  if (ch == 1) {  // constant channel count: the per-pixel loop folds away
+    for (int i = i0; i < i1; ++i) {
+      if (s.valid[i]) {
+        blend_one(s, i, base, pitch, 1, out + i);
+      } else {
+        out[i] = fill;
+      }
+    }
     return;
   }
   for (int i = i0; i < i1; ++i) {
     std::uint8_t* __restrict o = out + static_cast<std::size_t>(i) * ch;
-    if (!s.valid[i]) {
+    if (s.valid[i]) {
+      blend_one(s, i, base, pitch, ch, o);
+    } else {
       for (int c = 0; c < ch; ++c) o[c] = fill;
-      continue;
-    }
-    const std::uint8_t* __restrict r0 =
-        base + static_cast<std::size_t>(s.y0[i]) * pitch;
-    const std::uint8_t* __restrict r1 =
-        base + static_cast<std::size_t>(s.y1[i]) * pitch;
-    const int lx0 = s.x0[i] * ch;
-    const int lx1 = s.x1[i] * ch;
-    const int ax = s.ax[i], ay = s.ay[i];
-    for (int c = 0; c < ch; ++c) {
-      const int t0 = (256 - ax) * r0[lx0 + c] + ax * r0[lx1 + c];
-      const int t1 = (256 - ax) * r1[lx0 + c] + ax * r1[lx1 + c];
-      const int v = (256 - ay) * t0 + ay * t1;
-      o[c] = static_cast<std::uint8_t>((v + (1 << 15)) >> 16);
     }
   }
 }
@@ -171,27 +170,151 @@ void blend_span_avx2(const SoaScratch& s, int n,
     while (fix != 0) {
       const int j = __builtin_ctz(static_cast<unsigned>(fix));
       fix &= fix - 1;
-      out[i + j] = blend_one(s, i + j, base, static_cast<std::size_t>(pitch));
+      blend_one(s, i + j, base, static_cast<std::size_t>(pitch), 1,
+                out + i + j);
     }
   }
   blend_span_scalar(s, i, n, base, static_cast<std::size_t>(pitch), 1, out,
                     fill);
 }
 
+/// One channel of the factored 8.8 blend for eight RGB lanes: byte `C` of
+/// each tap dword (top/bottom row at x0*3 and at x0*3+3), rounded half-up
+/// and shifted into byte `C` of the lane's output dword.
+template <int C>
+inline __m256i blend_channel(__m256i top0, __m256i top1, __m256i bot0,
+                             __m256i bot1, __m256i ax, __m256i bx,
+                             __m256i ay, __m256i by) noexcept {
+  const __m256i vff = _mm256_set1_epi32(0xFF);
+  const __m256i p00 = _mm256_and_si256(_mm256_srli_epi32(top0, 8 * C), vff);
+  const __m256i p10 = _mm256_and_si256(_mm256_srli_epi32(top1, 8 * C), vff);
+  const __m256i p01 = _mm256_and_si256(_mm256_srli_epi32(bot0, 8 * C), vff);
+  const __m256i p11 = _mm256_and_si256(_mm256_srli_epi32(bot1, 8 * C), vff);
+  const __m256i t0 = _mm256_add_epi32(_mm256_mullo_epi32(p00, bx),
+                                      _mm256_mullo_epi32(p10, ax));
+  const __m256i t1 = _mm256_add_epi32(_mm256_mullo_epi32(p01, bx),
+                                      _mm256_mullo_epi32(p11, ax));
+  __m256i acc = _mm256_add_epi32(_mm256_mullo_epi32(t0, by),
+                                 _mm256_mullo_epi32(t1, ay));
+  acc = _mm256_srli_epi32(_mm256_add_epi32(acc, _mm256_set1_epi32(1 << 15)),
+                          16);
+  return _mm256_slli_epi32(acc, 8 * C);
+}
+
+/// AVX2 pass 2 for ch == 3 over scratch slots [0, n). Per tap row, one
+/// dword gather at x0*3 fetches (r, g, b) of the left tap and one at
+/// x0*3+3 those of the right tap, so a lane reads the 7 bytes
+/// [x0*3, x0*3+7) of each row. Each channel then runs the gray path's
+/// factored blend, and one pshufb packs the eight (r, g, b, 0) dwords into
+/// 24 output bytes.
+void blend_span_avx2_rgb(const SoaScratch& s, int n,
+                         const std::uint8_t* __restrict base, int pitch,
+                         int total, std::uint8_t* __restrict out,
+                         std::uint8_t fill) noexcept {
+  const __m256i vpitch = _mm256_set1_epi32(pitch);
+  const __m256i vzero = _mm256_setzero_si256();
+  const __m256i vone = _mm256_set1_epi32(1);
+  const __m256i vthree = _mm256_set1_epi32(3);
+  const __m256i v256 = _mm256_set1_epi32(256);
+  const __m256i vfill = _mm256_set1_epi32(fill * 0x010101);
+  // bot + 7 <= total, i.e. bot < total - 6: lanes whose footprint ends in
+  // the buffer's last bytes take the fixup path.
+  const __m256i vlim = _mm256_set1_epi32(total - 6);
+  // Per 128-bit lane: the (r, g, b) bytes of four dwords, then 4 spare.
+  const __m256i pack3 = _mm256_setr_epi8(
+      0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1,  //
+      0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1);
+  // Close the gap between the lanes: dwords 0-2 then 4-6 are 24 bytes.
+  const __m256i join = _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 3, 7);
+  const int* ibase = reinterpret_cast<const int*>(base);
+
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i x0 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.x0 + i));
+    const __m256i y0 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.y0 + i));
+    const __m256i x1 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.x1 + i));
+    const __m256i y1 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.y1 + i));
+    const __m256i valid = _mm256_cmpgt_epi32(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.valid + i)),
+        vzero);
+    const __m256i top = _mm256_add_epi32(_mm256_mullo_epi32(y0, vpitch),
+                                         _mm256_mullo_epi32(x0, vthree));
+    const __m256i bot = _mm256_add_epi32(top, vpitch);
+    __m256i vec = _mm256_and_si256(
+        _mm256_cmpeq_epi32(x1, _mm256_add_epi32(x0, vone)),
+        _mm256_cmpeq_epi32(y1, _mm256_add_epi32(y0, vone)));
+    vec = _mm256_and_si256(vec, _mm256_cmpgt_epi32(vlim, bot));
+    vec = _mm256_and_si256(vec, valid);
+
+    const __m256i top0 =
+        _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
+    const __m256i top1 = _mm256_mask_i32gather_epi32(
+        vzero, ibase, _mm256_add_epi32(top, vthree), vec, 1);
+    const __m256i bot0 =
+        _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
+    const __m256i bot1 = _mm256_mask_i32gather_epi32(
+        vzero, ibase, _mm256_add_epi32(bot, vthree), vec, 1);
+
+    const __m256i ax =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.ax + i));
+    const __m256i ay =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.ay + i));
+    const __m256i bx = _mm256_sub_epi32(v256, ax);
+    const __m256i by = _mm256_sub_epi32(v256, ay);
+    __m256i rgb = _mm256_or_si256(
+        blend_channel<0>(top0, top1, bot0, bot1, ax, bx, ay, by),
+        blend_channel<1>(top0, top1, bot0, bot1, ax, bx, ay, by));
+    rgb = _mm256_or_si256(
+        rgb, blend_channel<2>(top0, top1, bot0, bot1, ax, bx, ay, by));
+    rgb = _mm256_blendv_epi8(vfill, rgb, valid);
+
+    const __m256i bytes = _mm256_permutevar8x32_epi32(
+        _mm256_shuffle_epi8(rgb, pack3), join);
+    std::uint8_t* o = out + static_cast<std::size_t>(i) * 3;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o),
+                     _mm256_castsi256_si128(bytes));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(o + 16),
+                     _mm256_extracti128_si256(bytes, 1));
+
+    int fix = _mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_andnot_si256(vec, valid)));
+    while (fix != 0) {
+      const int j = __builtin_ctz(static_cast<unsigned>(fix));
+      fix &= fix - 1;
+      blend_one(s, i + j, base, static_cast<std::size_t>(pitch), 3,
+                o + static_cast<std::size_t>(j) * 3);
+    }
+  }
+  blend_span_scalar(s, i, n, base, static_cast<std::size_t>(pitch), 3, out,
+                    fill);
+}
+
 #endif  // FISHEYE_HAVE_GATHER
 
-/// Pass 2 dispatch for one strip: AVX2 when compiled in, the frame is
-/// single-channel, and the byte offsets fit int32; scalar otherwise.
+/// Pass 2 dispatch for one strip: AVX2 when compiled in, the frame has
+/// one or three channels, and the byte offsets fit int32; scalar
+/// otherwise.
 inline void blend_strip(const SoaScratch& s, int n,
                         const std::uint8_t* __restrict base, std::size_t pitch,
                         std::size_t total, int ch,
                         std::uint8_t* __restrict out,
                         std::uint8_t fill) noexcept {
 #if FISHEYE_HAVE_GATHER
-  if (ch == 1 && total + 4 <= static_cast<std::size_t>(INT32_MAX)) {
-    blend_span_avx2(s, n, base, static_cast<int>(pitch),
-                    static_cast<int>(total), out, fill);
-    return;
+  if (total + 8 <= static_cast<std::size_t>(INT32_MAX)) {
+    if (ch == 1) {
+      blend_span_avx2(s, n, base, static_cast<int>(pitch),
+                      static_cast<int>(total), out, fill);
+      return;
+    }
+    if (ch == 3) {
+      blend_span_avx2_rgb(s, n, base, static_cast<int>(pitch),
+                          static_cast<int>(total), out, fill);
+      return;
+    }
   }
 #else
   (void)total;
@@ -367,26 +490,10 @@ void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
   const std::size_t pitch = src.pitch;
   const std::size_t total = pitch * static_cast<std::size_t>(src.height);
 
-  const int frac = map.frac_bits;
-  const int wshift = frac >= 8 ? frac - 8 : 0;
-  const int wscale_up = frac >= 8 ? 0 : 8 - frac;
-  const std::int32_t frac_mask = (std::int32_t{1} << frac) - 1;
   const int shift = map.shift();
-  const int smask = map.stride - 1;
-  const std::int64_t gs = map.stride;
-  const int rshift = 2 * shift;
-  const std::int64_t half = rshift > 0 ? (std::int64_t{1} << (rshift - 1)) : 0;
-  const std::int32_t one = std::int32_t{1} << frac;
-  const std::int32_t lim_x = static_cast<std::int32_t>(map.src_width) << frac;
-  const std::int32_t lim_y = static_cast<std::int32_t>(map.src_height) << frac;
-  const std::int32_t max_fx = lim_x - one;
-  const std::int32_t max_fy = lim_y - one;
-
-  const std::int32_t* __restrict grid_x = map.gx.data();
-  const std::int32_t* __restrict grid_y = map.gy.data();
+  const detail::CompactPass1 pass1(map);
 
   for (int y = rect.y0; y < rect.y1; ++y) {
-    const std::int64_t ty = y & smask;
     const std::size_t g0 = static_cast<std::size_t>(y >> shift) * map.grid_w;
     const std::size_t g1 = g0 + map.grid_w;
     std::uint8_t* __restrict out_row = dst.row(y);
@@ -401,36 +508,9 @@ void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
         prefetch_strip_sources(map, src.data, pitch, ch, g0, g1, xb + len,
                                std::min(rect.x1, xb + 2 * len));
 
-      // Pass 1: grid reconstruction — identical integer expressions to the
-      // scalar compact kernel, so pass 2 reproduces it bit-for-bit.
-      for (int i = 0; i < n; ++i) {
-        const int x = xb + i;
-        const int cx = x >> shift;
-        const std::int64_t tx = x & smask;
-        const std::int64_t lx =
-            grid_x[g0 + cx] * (gs - ty) + grid_x[g1 + cx] * ty;
-        const std::int64_t rx =
-            grid_x[g0 + cx + 1] * (gs - ty) + grid_x[g1 + cx + 1] * ty;
-        const std::int64_t ly =
-            grid_y[g0 + cx] * (gs - ty) + grid_y[g1 + cx] * ty;
-        const std::int64_t ry =
-            grid_y[g0 + cx + 1] * (gs - ty) + grid_y[g1 + cx + 1] * ty;
-        std::int32_t fx = static_cast<std::int32_t>(
-            (lx * gs + tx * (rx - lx) + half) >> rshift);
-        std::int32_t fy = static_cast<std::int32_t>(
-            (ly * gs + tx * (ry - ly) + half) >> rshift);
-        s.valid[i] = (fx > -one) & (fy > -one) & (fx < lim_x) & (fy < lim_y);
-        fx = fx < 0 ? 0 : (fx > max_fx ? max_fx : fx);
-        fy = fy < 0 ? 0 : (fy > max_fy ? max_fy : fy);
-        const std::int32_t ix = fx >> frac;
-        const std::int32_t iy = fy >> frac;
-        s.x0[i] = ix;
-        s.y0[i] = iy;
-        s.x1[i] = ix + 1 < map.src_width ? ix + 1 : ix;
-        s.y1[i] = iy + 1 < map.src_height ? iy + 1 : iy;
-        s.ax[i] = ((fx & frac_mask) >> wshift) << wscale_up;  // 0..256
-        s.ay[i] = ((fy & frac_mask) >> wshift) << wscale_up;
-      }
+      // Pass 1: per-cell grid reconstruction, bit-exact against the scalar
+      // compact kernel (compact_pass1.hpp).
+      pass1.fill(y, xb, n, s);
 
       std::uint8_t* __restrict out =
           out_row + static_cast<std::size_t>(xb) * ch;

@@ -14,9 +14,17 @@
 //    samples — the 8.8 weight quantization error is < 1 output level and
 //    both sides round half-up (tested property).
 //
+// Three-channel frames get their own AVX2 pass 2: two dword gathers per tap
+// row (at x0*3 and x0*3+3) fetch both taps' (r, g, b), each channel runs
+// the same factored blend, and a pshufb packs eight pixels into 24 bytes.
 // Lanes whose 2x2 footprint is not contiguous (edge-clamped taps) or whose
-// dword read would overrun the last padded row take a scalar fixup path;
-// multi-channel frames run the integer blend scalar from the SoA scratch.
+// dword reads would overrun the buffer's last bytes take a scalar fixup
+// path; other channel counts run the integer blend scalar from the SoA
+// scratch.
+//
+// The compact kernel's pass 1 is shared with the SoA compact kernel
+// (compact_pass1.hpp): per grid cell, one vertical interpolation; per
+// pixel, one multiply-add and shift.
 //
 // The compact kernel additionally issues software prefetches for the NEXT
 // strip's source rows, derived from the block-subsampled grid's coarse

@@ -26,12 +26,12 @@ namespace fisheye::simd {
 /// two-pass split, short enough that the scratch arrays stay inside L1.
 inline constexpr int kSoaStrip = 256;
 
-/// SoA strip scratch shared by both kernels: one slot per strip pixel.
-/// The float kernel fills x0/y0 + the float weights; the compact kernel
-/// fills the clamped tap coordinates + the 0..256 integer weights. Sized
-/// ~11 KB — callers running many lanes should allocate one per lane once
-/// (the pooled SIMD backend keeps them in its plan's Workspace) rather
-/// than burn stack per tile.
+/// SoA strip scratch shared by the SoA and gather kernels: one slot per
+/// strip pixel. The float kernels fill x0/y0 + weights; the integer-map
+/// kernels fill the clamped tap coordinates + the 0..256 integer weights.
+/// Sized ~11 KB and never initialized, so a per-call stack copy costs
+/// nothing (stream and serve tiles use one); the pooled SIMD backend keeps
+/// one per lane in its plan's Workspace.
 struct SoaScratch {
   alignas(64) std::int32_t x0[kSoaStrip];
   alignas(64) std::int32_t y0[kSoaStrip];

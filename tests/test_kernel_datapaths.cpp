@@ -11,8 +11,13 @@
 // the arithmetic), so this suite runs unconditionally.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 
 #include "core/autotune.hpp"
@@ -147,15 +152,58 @@ TEST(GatherKernel, CompactBitExactAgainstScalarOnRandomRects) {
   }
 }
 
+/// A copy of `im` with pitch == width * channels, placed so its last byte
+/// ends a page and the following page is inaccessible: a read past the
+/// image faults instead of passing silently (AVX2 gathers are not
+/// instrumented by the sanitizers).
+class GuardedImage {
+ public:
+  explicit GuardedImage(const img::Image8& im)
+      : w_(im.width()), h_(im.height()), ch_(im.channels()) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = pitch() * static_cast<std::size_t>(h_);
+    const std::size_t body = (bytes + page - 1) / page * page;
+    len_ = body + page;
+    void* p = mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<std::uint8_t*>(p);
+    if (mprotect(base_ + body, page, PROT_NONE) != 0) {
+      munmap(base_, len_);
+      throw std::bad_alloc();
+    }
+    data_ = base_ + body - bytes;
+    for (int y = 0; y < h_; ++y)
+      std::memcpy(data_ + pitch() * static_cast<std::size_t>(y), im.row(y),
+                  pitch());
+  }
+  ~GuardedImage() { munmap(base_, len_); }
+  GuardedImage(const GuardedImage&) = delete;
+  GuardedImage& operator=(const GuardedImage&) = delete;
+
+  [[nodiscard]] img::ConstImageView<std::uint8_t> view() const {
+    return {data_, w_, h_, ch_, pitch()};
+  }
+
+ private:
+  [[nodiscard]] std::size_t pitch() const {
+    return static_cast<std::size_t>(w_) * ch_;
+  }
+  int w_, h_, ch_;
+  std::size_t len_ = 0;
+  std::uint8_t* base_ = nullptr;
+  std::uint8_t* data_ = nullptr;
+};
+
 TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
-  // pitch == width (single channel, 64-px-multiple row): the vector loop's
-  // 4-byte gathers near the bottom-right corner must not read past the
-  // buffer (the bot < total-3 lane check routes those through the scalar
-  // fixup). ASan/valgrind guards the "safe" half; exactness is checked
-  // here.
+  // pitch == width * ch and the source ends at a guard page: the vector
+  // loop's dword gathers near the bottom-right corner must not read past
+  // the buffer (the bot < total-3 gray and bot < total-6 RGB lane checks
+  // route those through the scalar fixup), and every lane must still
+  // match the scalar kernel.
   const int w = 128, h = 32;
   const img::Image8 src = random_image(w, h, 1, 51);
-  ASSERT_EQ(src.pitch(), static_cast<std::size_t>(w));
+  const GuardedImage gsrc(src);
   WarpMap map;
   map.width = w;
   map.height = h;
@@ -171,9 +219,40 @@ TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
   core::remap_rect(src.view(), a.view(), map, {0, 0, w, h},
                    {Interp::Bilinear, img::BorderMode::Constant, 0});
   simd::SoaScratch scratch;
-  simd::remap_bilinear_gather(src.view(), b.view(), map, {0, 0, w, h}, 0,
+  simd::remap_bilinear_gather(gsrc.view(), b.view(), map, {0, 0, w, h}, 0,
                               scratch);
   EXPECT_LE(max_abs_diff(a, b), 1);
+
+  // Integer maps at ch 1 and 3, bit-exact. Pin some taps to the last
+  // column and row (clamped footprint) and some to the last contiguous
+  // 2x2 footprint: with pitch == 3 * width its 7-byte RGB reads end one
+  // byte past the buffer, so the bot < total - 6 guard must route them
+  // through the scalar fixup.
+  for (std::size_t i = 0; i < map.pixel_count(); i += 5) {
+    map.src_x[i] = static_cast<float>(w - 1);
+    map.src_y[i] = static_cast<float>(h - 1);
+  }
+  for (std::size_t i = 2; i < map.pixel_count(); i += 5) {
+    map.src_x[i] = static_cast<float>(w - 2) + 0.5f;
+    map.src_y[i] = static_cast<float>(h - 2) + 0.5f;
+  }
+  const PackedMap packed = pack_map(map, w, h);
+  const CompactMap cm = compact_map(map, w, h, 8);
+  for (const int ch : {1, 3}) {
+    const img::Image8 csrc = random_image(w, h, ch, 53);
+    const GuardedImage gcsrc(csrc);
+    img::Image8 ref(w, h, ch), out(w, h, ch);
+    remap_packed_rect(csrc.view(), ref.view(), packed, {0, 0, w, h}, 0);
+    simd::remap_packed_gather(gcsrc.view(), out.view(), packed, {0, 0, w, h},
+                              0, scratch);
+    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
+        << "packed ch=" << ch;
+    remap_compact_rect(csrc.view(), ref.view(), cm, {0, 0, w, h}, 0);
+    simd::remap_compact_gather(gcsrc.view(), out.view(), cm, {0, 0, w, h}, 0,
+                               scratch);
+    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
+        << "compact ch=" << ch;
+  }
 }
 
 TEST(GatherKernel, StripLengthDoesNotChangeResults) {

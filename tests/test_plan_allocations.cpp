@@ -189,32 +189,41 @@ TEST(PlanAllocations, StreamExecutorMultiStreamIsAllocationFree) {
   // the per-stream arenas (plan workspace, instrumentation, pending ring)
   // and the scheduler's queue/loot capacities are warm, steady-state
   // service allocates nothing — submit, tile execution, stealing, retire,
-  // and wait included.
+  // and wait included. The last stream is RGB CompactLut, whose plan runs
+  // the SIMD gather datapath with its strip scratch on the stack.
   par::ThreadPool pool(2);
   stream::StreamExecutorOptions opts;
-  opts.max_streams = 3;
+  opts.max_streams = 4;
   opts.tile_w = 32;
   opts.tile_h = 16;
   stream::StreamExecutor exec(pool, opts);
 
-  constexpr std::size_t kStreams = 3;
+  constexpr std::size_t kGrayStreams = 3;
   std::vector<std::unique_ptr<Frame>> frames;
   std::vector<stream::StreamId> ids;
   std::vector<std::unique_ptr<Corrector>> correctors;
-  for (std::size_t i = 0; i < kStreams; ++i) {
+  for (std::size_t i = 0; i < kGrayStreams; ++i) {
     frames.push_back(std::make_unique<Frame>());
     correctors.push_back(std::make_unique<Corrector>(
         Corrector::builder(kW, kH).fov_degrees(170.0).config()));
     ids.push_back(exec.add_stream(*correctors.back(), 1));
   }
+  img::Image8 rgb_src(kW, kH, 3), rgb_dst(kW, kH, 3);
+  rgb_src.fill(100);
+  correctors.push_back(std::make_unique<Corrector>(
+      Corrector::builder(kW, kH)
+          .fov_degrees(170.0)
+          .map_mode(MapMode::CompactLut)
+          .config()));
+  ids.push_back(exec.add_stream(*correctors.back(), 3));
+
   const auto round = [&] {
-    std::uint64_t last = 0;
-    for (std::size_t i = 0; i < kStreams; ++i)
-      last = exec.submit(ids[i], frames[i]->src.view(),
-                         frames[i]->dst.view());
+    for (std::size_t i = 0; i < kGrayStreams; ++i)
+      exec.submit(ids[i], frames[i]->src.view(), frames[i]->dst.view());
     // Waiting on the last stream's frame is enough to bound the round;
     // the others retire before or while we sleep.
-    exec.wait(ids.back(), last);
+    exec.wait(ids.back(),
+              exec.submit(ids.back(), rgb_src.view(), rgb_dst.view()));
   };
   for (int i = 0; i < 6; ++i) round();  // warm queues, loot, cv internals
   exec.drain();
@@ -226,7 +235,7 @@ TEST(PlanAllocations, StreamExecutorMultiStreamIsAllocationFree) {
       g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(delta, 0u) << "StreamExecutor: " << delta
                        << " allocations across 12 steady-state rounds of "
-                       << kStreams << " streams";
+                       << ids.size() << " streams";
 }
 
 TEST(PlanAllocations, ServeCacheHitPathIsAllocationFree) {

@@ -3,17 +3,21 @@
 // frame), ordering and closed-loop semantics of the retire callback,
 // fairness under adversarial mixed loads (no stream starves), starvation
 // counter wiring, and concurrent stream add/remove while serving — the
-// last one is what the CI ThreadSanitizer job exercises.
+// last one is what the CI ThreadSanitizer job exercises — plus the
+// datapath stream plans resolve for each map representation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "core/corrector.hpp"
 #include "image/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "simd/remap_gather.hpp"
 #include "stream/stream_executor.hpp"
 #include "video/pipeline.hpp"
 
@@ -349,6 +353,70 @@ TEST(StreamExecutor, PlanCarriesPerFrameInstrumentation) {
   EXPECT_EQ(ts.tiles, static_cast<int>(plan.tiles().size()));
   EXPECT_GT(ts.total_seconds, 0.0);
   EXPECT_EQ(ts.local_tiles + ts.stolen_tiles, plan.tiles().size());
+}
+
+TEST(StreamExecutor, IntegerMapStreamsRunGatherDatapathBitExact) {
+  // Stream plans resolve the gather datapath for PackedLut and CompactLut
+  // (bit-exact against scalar, so the stream promise holds), keep FloatLut
+  // on scalar (float gather is only within one level), and degrade
+  // through effective_variant: without AVX2 compact falls to SoA and
+  // packed to scalar, and FISHEYE_FORCE_SCALAR grounds both.
+  const int w = 160, h = 120, ch = 3;
+  const core::MapMode modes[] = {core::MapMode::PackedLut,
+                                 core::MapMode::CompactLut,
+                                 core::MapMode::FloatLut};
+  std::vector<core::Corrector> corrs;  // streams keep their address
+  corrs.reserve(std::size(modes));
+  for (const core::MapMode mode : modes)
+    corrs.push_back(core::Corrector::builder(w, h)
+                        .fov_degrees(170.0)
+                        .map_mode(mode)
+                        .build());
+  std::vector<img::Image8> srcs;
+  for (int f = 0; f < 3; ++f) srcs.push_back(make_fisheye(w, h, f, ch));
+
+  const auto expected = [](core::MapMode mode, bool forced) {
+    if (forced || mode == core::MapMode::FloatLut)
+      return core::KernelVariant::Scalar;
+    if (simd::gather_available()) return core::KernelVariant::SimdGather;
+    return mode == core::MapMode::CompactLut ? core::KernelVariant::SimdSoa
+                                             : core::KernelVariant::Scalar;
+  };
+  for (const bool forced : {false, true}) {
+    if (forced) {
+      ASSERT_EQ(setenv("FISHEYE_FORCE_SCALAR", "1", 1), 0);
+    }
+    par::ThreadPool pool(3);
+    StreamExecutor exec(pool);
+    std::vector<StreamId> ids;
+    for (const core::Corrector& corr : corrs)
+      ids.push_back(exec.add_stream(corr, ch));
+    if (forced) {
+      ASSERT_EQ(unsetenv("FISHEYE_FORCE_SCALAR"), 0);
+    }
+
+    std::vector<img::Image8> outs;
+    for (std::size_t i = 0; i < corrs.size() * srcs.size(); ++i)
+      outs.emplace_back(w, h, ch);
+    for (std::size_t c = 0; c < corrs.size(); ++c)
+      for (std::size_t f = 0; f < srcs.size(); ++f)
+        exec.submit(ids[c], srcs[f].view(),
+                    outs[c * srcs.size() + f].view());
+    exec.drain();
+
+    for (std::size_t c = 0; c < corrs.size(); ++c) {
+      const core::MapMode mode = corrs[c].config().map_mode;
+      EXPECT_EQ(exec.plan(ids[c]).kernel().key().variant,
+                expected(mode, forced))
+          << core::map_mode_name(mode) << " forced=" << forced;
+      for (std::size_t f = 0; f < srcs.size(); ++f)
+        EXPECT_TRUE(img::equal_pixels<std::uint8_t>(
+            solo_reference(corrs[c], srcs[f]).view(),
+            outs[c * srcs.size() + f].view()))
+            << core::map_mode_name(mode) << " frame " << f
+            << " forced=" << forced;
+    }
+  }
 }
 
 TEST(StreamExecutor, MismatchedFrameGeometryViolatesContract) {
