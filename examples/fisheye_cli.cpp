@@ -15,10 +15,13 @@
 //       [--list-backends]         (print every registered backend kind with
 //                                  its options, including valid map= formats)
 //
-// SPEC is a BackendRegistry spec, e.g. serial, pool:dynamic,threads=4,
-// simd, cell:spes=8, fpga (needs --map packed or compact), gpu,
-// cluster:ranks=8. Backends that convert the map themselves take a spec
-// option instead, e.g. pool:map=compact:8 against the default float map.
+// SPEC is a BackendRegistry spec, e.g. cpu:steal,tiles,datapath=gather,
+// serial, pool:dynamic,threads=4, simd, cell:spes=8, fpga (needs --map
+// packed or compact), gpu, cluster:ranks=8. serial, pool and simd are
+// aliases of cpu (--list-backends shows their translations), and --stats
+// prints the canonical cpu: spec. Backends that convert the map themselves
+// take a spec option instead, e.g. pool:map=compact:8 against the default
+// float map.
 // --threads N is shorthand for appending threads=N to the spec.
 //
 // Without an input file a synthetic 720p fisheye test frame is corrected

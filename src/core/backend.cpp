@@ -1,6 +1,5 @@
 #include "core/backend.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
@@ -306,33 +305,25 @@ std::string Backend::decorate_spec(std::string spec) const {
   return spec;
 }
 
-void SerialBackend::execute(const ExecutionPlan& plan,
-                            const ExecContext& ctx) {
-  check_plan(plan, ctx);
-  const ResolvedKernel& kernel = plan.kernel();
-  PlanInstrumentation& inst = plan.instrumentation();
-  inst.begin_frame(plan.tiles().size());
-  for (std::size_t i = 0; i < plan.tiles().size(); ++i) {
-    const rt::Stopwatch sw;
-    kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-    inst.tile_seconds[i] = sw.elapsed_seconds();
+CpuBackend::CpuBackend() : CpuBackend(Options{}) {}
+
+CpuBackend::CpuBackend(Options options) : options_(options) {
+  if (options.threads != 1) {
+    owned_pool_ = std::make_unique<par::ThreadPool>(options.threads);
+    pool_ = owned_pool_.get();
+    lanes_ = pool_->size();
   }
-  record_bytes(plan);
 }
 
-PoolBackend::PoolBackend(par::ThreadPool& pool) : PoolBackend(pool, Options{}) {}
+CpuBackend::CpuBackend(par::ThreadPool& pool, Options options)
+    : pool_(&pool), lanes_(pool.size()), options_(options) {}
 
-PoolBackend::PoolBackend(par::ThreadPool& pool, Options options)
-    : pool_(pool), options_(options) {}
+CpuBackend::CpuBackend(Options options, unsigned lanes)
+    : lanes_(lanes), options_(options) {}
 
-PoolBackend::PoolBackend(Options options, unsigned threads)
-    : owned_pool_(std::make_unique<par::ThreadPool>(threads)),
-      pool_(*owned_pool_),
-      options_(options) {}
-
-std::string PoolBackend::name() const {
+std::string CpuBackend::name() const {
   std::ostringstream os;
-  os << "pool:" << par::schedule_name(options_.schedule);
+  os << "cpu:" << par::schedule_name(options_.schedule);
   switch (options_.partition) {
     case par::PartitionKind::RowBlocks: os << ",rows"; break;
     case par::PartitionKind::RowCyclic: os << ",cyclic"; break;
@@ -345,28 +336,29 @@ std::string PoolBackend::name() const {
     os << '=' << options_.chunks;
   if (options_.partition == par::PartitionKind::Tiles)
     os << ",tile=" << options_.tile_w << 'x' << options_.tile_h;
-  os << ",threads=" << pool_.size();
+  os << ",threads=" << lanes_;
+  if (options_.datapath != KernelVariant::Scalar)
+    os << ",datapath=" << DatapathChoice::token(options_.datapath);
   return decorate_spec(os.str());
 }
 
-ExecutionPlan PoolBackend::plan(const ExecContext& ctx) {
+ExecutionPlan CpuBackend::plan(const ExecContext& ctx) {
   maybe_autotune(ctx);
   const TunedChoice& t = tuned();
   return plan_with(ctx, t.requested && !t.pending ? t.spec : TunedSpec{});
 }
 
-ExecutionPlan PoolBackend::plan_with(const ExecContext& ctx,
-                                     const TunedSpec& t) {
+ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
+                                    const TunedSpec& t) {
   std::shared_ptr<const ConvertedMap> converted;
   const ExecContext ectx =
       resolve_map(ctx, converted, t.map ? *t.map : map_choice());
-  int chunks = options_.chunks;
-  if (chunks == 0) chunks = static_cast<int>(pool_.size()) * 4;
-  const int tile_w = t.tile_w > 0 ? t.tile_w : options_.tile_w;
-  const int tile_h = t.tile_h > 0 ? t.tile_h : options_.tile_h;
-  std::vector<par::Rect> tiles =
-      par::partition(ctx.dst.width, ctx.dst.height, options_.partition,
-                     chunks, tile_w, tile_h);
+  const int chunks = options_.chunks != 0 ? options_.chunks
+                                          : static_cast<int>(lanes_) * 4;
+  std::vector<par::Rect> tiles = par::partition(
+      ctx.dst.width, ctx.dst.height, options_.partition, chunks,
+      t.tile_w > 0 ? t.tile_w : options_.tile_w,
+      t.tile_h > 0 ? t.tile_h : options_.tile_h);
   const bool steal = options_.schedule == par::Schedule::Steal;
   if (steal) {
     // Reorder the partition by source locality once, at plan time, and
@@ -377,27 +369,60 @@ ExecutionPlan PoolBackend::plan_with(const ExecContext& ctx,
   }
   ExecutionPlan p =
       make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
-                t.datapath.value_or(KernelVariant::Scalar), t.strip);
-  if (steal) init_steal_state(p.workspace(), pool_.size());
+                t.datapath.value_or(options_.datapath), t.strip);
+  Workspace& ws = p.workspace();
+  if (steal) init_steal_state(ws, lanes_);
+  // One SoA strip scratch per lane, owned by the plan: tiles borrow their
+  // lane's scratch instead of burning ~11 KB of stack per tile.
+  ws.soa.resize(lanes_);
   return p;
 }
 
-void PoolBackend::maybe_autotune(const ExecContext& ctx) {
+void CpuBackend::maybe_autotune(const ExecContext& ctx) {
   if (!tuned().requested || !tuned().pending) return;
-  // The pool backend's measured axis is the tile shape; it only exists
-  // under a Tiles partition (row/cyclic decompositions ignore tile=).
-  if (options_.partition != par::PartitionKind::Tiles) {
+  std::vector<AutotuneCandidate> cands;
+  // Tile shape: an axis only under a Tiles partition (row/cyclic
+  // decompositions ignore tile=).
+  if (options_.partition == par::PartitionKind::Tiles) {
+    cands.push_back({TunedSpec{}, "default"});
+    constexpr int kTiles[][2] = {{32, 32}, {64, 64}, {128, 64}, {128, 32}};
+    for (const auto& wh : kTiles) {
+      TunedSpec t;
+      t.tile_w = wh[0];
+      t.tile_h = wh[1];
+      cands.push_back({t, "tile " + t.token()});
+    }
+  }
+  // Datapath x strip x map: searched only from a SIMD datapath, so a
+  // scalar configuration keeps its bit-exact output.
+  if (options_.datapath != KernelVariant::Scalar) {
+    std::vector<KernelVariant> variants{KernelVariant::SimdSoa};
+    if (simd::gather_available())
+      variants.push_back(KernelVariant::SimdGather);
+    for (const KernelVariant v : variants) {
+      for (const int strip : {128, simd::kSoaStrip}) {
+        TunedSpec t;
+        t.datapath = v;
+        t.strip = strip;
+        cands.push_back({t, t.token()});
+      }
+    }
+    // Map-representation candidate: trading the float LUT for a compact
+    // grid often wins on bandwidth; only probed when the context can
+    // convert and the user didn't pin map= explicitly.
+    if (!map_choice().set() && ctx.mode == MapMode::FloatLut &&
+        ctx.map != nullptr && ctx.opts.interp == Interp::Bilinear) {
+      for (const KernelVariant v : variants) {
+        TunedSpec t;
+        t.datapath = v;
+        t.map = MapChoice::parse("compact:8");
+        cands.push_back({t, t.token()});
+      }
+    }
+  }
+  if (cands.empty()) {
     resolve_tuned(TunedSpec{});
     return;
-  }
-  std::vector<AutotuneCandidate> cands;
-  cands.push_back({TunedSpec{}, "default"});
-  constexpr int kTiles[][2] = {{32, 32}, {64, 64}, {128, 64}, {128, 32}};
-  for (const auto& wh : kTiles) {
-    TunedSpec t;
-    t.tile_w = wh[0];
-    t.tile_h = wh[1];
-    cands.push_back({t, "tile " + t.token()});
   }
   const auto best = autotune_select(
       ctx, autotune_cache_key(ctx, cached_name()), cands,
@@ -408,22 +433,30 @@ void PoolBackend::maybe_autotune(const ExecContext& ctx) {
   if (best) resolve_tuned(*best);
 }
 
-void PoolBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
+void CpuBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
   check_plan(plan, ctx);
   const ResolvedKernel& kernel = plan.kernel();
+  Workspace& ws = plan.workspace();
   PlanInstrumentation& inst = plan.instrumentation();
-  inst.begin_frame(plan.tiles().size());
-  if (options_.schedule == par::Schedule::Steal) {
-    const Workspace& ws = plan.workspace();
-    if (!steal_) steal_ = std::make_unique<par::WorkStealingPool>(pool_);
-    par::detail::ErrorSlot errors;
+  const std::size_t n = plan.tiles().size();
+  inst.begin_frame(n);
+  const auto run_tile = [&](std::size_t i, simd::SoaScratch* scratch) {
+    const rt::Stopwatch sw;
+    kernel(ctx.src, ctx.dst, plan.tiles()[i], scratch);
+    inst.tile_seconds[i] = sw.elapsed_seconds();
+  };
+  par::detail::ErrorSlot errors;
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) run_tile(i, ws.soa.data());
+  } else if (options_.schedule == par::Schedule::Steal) {
+    if (!steal_) steal_ = std::make_unique<par::WorkStealingPool>(*pool_);
+    // A tile runs on whichever lane claims it: the kernels take stack
+    // scratch here.
     const par::StealStats ss = steal_->run_ordered(
         ws.steal_order.data(), ws.steal_order.size(), ws.steal_runs,
         [&](std::size_t i) {
           try {
-            const rt::Stopwatch sw;
-            kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-            inst.tile_seconds[i] = sw.elapsed_seconds();
+            run_tile(i, nullptr);
           } catch (...) {
             errors.capture();
           }
@@ -431,142 +464,48 @@ void PoolBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
     inst.local_tiles = ss.local;
     inst.stolen_tiles = ss.stolen;
     inst.steals = ss.steals;
-    record_bytes(plan);
-    errors.rethrow_if_set();
-    return;
+  } else {
+    par::parallel_for_lanes(
+        *pool_, n,
+        [&](std::size_t lane, std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i)
+            run_tile(i, ws.soa.data() + lane);
+        },
+        {options_.schedule, 1});
   }
-  par::parallel_for_each(
-      pool_, plan.tiles().size(),
-      [&](std::size_t i) {
-        const rt::Stopwatch sw;
-        kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-        inst.tile_seconds[i] = sw.elapsed_seconds();
-      },
-      {options_.schedule, 1});
-  record_bytes(plan);
-}
-
-SimdBackend::SimdBackend(unsigned threads) {
-  if (threads != 1) {
-    owned_pool_ = std::make_unique<par::ThreadPool>(threads);
-    pool_ = owned_pool_.get();
-  }
-}
-
-void SimdBackend::set_datapath(KernelVariant v) {
-  datapath_ = v;
-  clear_name_cache();
-}
-
-std::string SimdBackend::name() const {
-  std::ostringstream os;
-  os << "simd:threads=" << (pool_ != nullptr ? pool_->size() : 1);
-  if (datapath_ != KernelVariant::SimdSoa)
-    os << ",datapath=" << DatapathChoice::token(datapath_);
-  return decorate_spec(os.str());
-}
-
-ExecutionPlan SimdBackend::plan(const ExecContext& ctx) {
-  maybe_autotune(ctx);
-  const TunedChoice& t = tuned();
-  return plan_with(ctx, t.requested && !t.pending ? t.spec : TunedSpec{});
-}
-
-ExecutionPlan SimdBackend::plan_with(const ExecContext& ctx,
-                                     const TunedSpec& t) {
-  std::shared_ptr<const ConvertedMap> converted;
-  (void)resolve_map(ctx, converted, t.map ? *t.map : map_choice());
-  // SoA/gather strip kernels — float, packed (gather only) and compact
-  // LUTs, bilinear, constant border; resolve_kernel rejects everything
-  // else and effective_variant() degrades gather off-AVX2.
-  std::vector<par::Rect> tiles =
-      pool_ == nullptr
-          ? std::vector<par::Rect>{par::Rect{0, 0, ctx.dst.width,
-                                             ctx.dst.height}}
-          : par::partition(ctx.dst.width, ctx.dst.height,
-                           par::PartitionKind::RowBlocks,
-                           static_cast<int>(pool_->size()) * 4);
-  ExecutionPlan p =
-      make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
-                t.datapath.value_or(datapath_), t.strip);
-  // One SoA strip scratch per lane, owned by the plan: tiles borrow their
-  // lane's scratch instead of burning ~11 KB of stack per tile.
-  p.workspace().soa.resize(pool_ != nullptr ? pool_->size() : 1);
-  return p;
-}
-
-void SimdBackend::maybe_autotune(const ExecContext& ctx) {
-  if (!tuned().requested || !tuned().pending) return;
-  std::vector<AutotuneCandidate> cands;
-  std::vector<KernelVariant> variants{KernelVariant::SimdSoa};
-  if (simd::gather_available())
-    variants.push_back(KernelVariant::SimdGather);
-  for (const KernelVariant v : variants) {
-    for (const int strip : {128, simd::kSoaStrip}) {
-      TunedSpec t;
-      t.datapath = v;
-      t.strip = strip;
-      cands.push_back({t, t.token()});
-    }
-  }
-  // Map-representation candidate: trading the float LUT for a compact
-  // grid often wins on bandwidth; only probed when the context can
-  // convert and the user didn't pin map= explicitly.
-  if (!map_choice().set() && ctx.mode == MapMode::FloatLut &&
-      ctx.map != nullptr && ctx.opts.interp == Interp::Bilinear) {
-    for (const KernelVariant v : variants) {
-      TunedSpec t;
-      t.datapath = v;
-      t.map = MapChoice::parse("compact:8");
-      cands.push_back({t, t.token()});
-    }
-  }
-  const auto best = autotune_select(
-      ctx, autotune_cache_key(ctx, cached_name()), cands,
-      [this](const ExecContext& c, const TunedSpec& t) {
-        return plan_with(c, t);
-      },
-      [this](const ExecutionPlan& p, const ExecContext& c) { execute(p, c); });
-  if (best) resolve_tuned(*best);
-}
-
-void SimdBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
-  check_plan(plan, ctx);
-  const ResolvedKernel& kernel = plan.kernel();
-  Workspace& ws = plan.workspace();
-  PlanInstrumentation& inst = plan.instrumentation();
-  const std::size_t n = plan.tiles().size();
-  inst.begin_frame(n);
-  if (pool_ == nullptr) {
-    const rt::Stopwatch sw;
-    kernel(ctx.src, ctx.dst, plan.tiles()[0], ws.soa.data());
-    inst.tile_seconds[0] = sw.elapsed_seconds();
-    record_bytes(plan);
-    return;
-  }
-  // Self-scheduled dynamic loop: each lane owns one workspace scratch and
-  // pulls tiles off a shared cursor (the allocation-free equivalent of
-  // parallel_for_each with Schedule::Dynamic, chunk 1).
-  std::atomic<std::size_t> cursor{0};
-  par::detail::ErrorSlot errors;
-  pool_->run_indexed(ws.soa.size(), [&](std::size_t lane) {
-    simd::SoaScratch* scratch = ws.soa.data() + lane;
-    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < n; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      try {
-        const rt::Stopwatch sw;
-        kernel(ctx.src, ctx.dst, plan.tiles()[i], scratch);
-        inst.tile_seconds[i] = sw.elapsed_seconds();
-      } catch (...) {
-        errors.capture();
-      }
-    }
-  });
   record_bytes(plan);
   errors.rethrow_if_set();
 }
 
 #ifdef _OPENMP
+namespace {
+
+unsigned omp_team(int threads) {
+  return static_cast<unsigned>(threads > 0 ? threads : omp_get_max_threads());
+}
+
+/// The CPU plan each OpenMP schedule runs over: one row block per thread
+/// (mirroring schedule(static) over rows), four per thread for the
+/// runtime-balanced schedules, Morton-ordered 64x64 tiles for steal.
+CpuBackend::Options omp_options(int threads, par::Schedule schedule) {
+  CpuBackend::Options o;
+  o.schedule = schedule;
+  const int team = static_cast<int>(omp_team(threads));
+  switch (schedule) {
+    case par::Schedule::Static: o.chunks = team; break;
+    case par::Schedule::Dynamic:
+    case par::Schedule::Guided: o.chunks = team * 4; break;
+    case par::Schedule::Steal: o.partition = par::PartitionKind::Tiles; break;
+  }
+  return o;
+}
+
+}  // namespace
+
+OpenMpBackend::OpenMpBackend(int threads, par::Schedule schedule)
+    : CpuBackend(omp_options(threads, schedule), omp_team(threads)),
+      threads_(threads) {}
+
 std::string OpenMpBackend::name() const {
   std::ostringstream os;
   os << "openmp";
@@ -575,43 +514,9 @@ std::string OpenMpBackend::name() const {
     os << sep << "threads=" << threads_;
     sep = ',';
   }
-  if (schedule_ != par::Schedule::Static)
-    os << sep << "schedule=" << par::schedule_name(schedule_);
+  if (options().schedule != par::Schedule::Static)
+    os << sep << "schedule=" << par::schedule_name(options().schedule);
   return decorate_spec(os.str());
-}
-
-ExecutionPlan OpenMpBackend::plan(const ExecContext& ctx) {
-  std::shared_ptr<const ConvertedMap> converted;
-  const ExecContext ectx = resolve_map(ctx, converted);
-  const int threads = threads_ > 0 ? threads_ : omp_get_max_threads();
-  std::vector<par::Rect> tiles;
-  switch (schedule_) {
-    case par::Schedule::Static:
-      // One contiguous row block per thread, mirroring schedule(static)
-      // over rows; planned once instead of re-derived by the OpenMP
-      // runtime.
-      tiles = par::partition(ctx.dst.width, ctx.dst.height,
-                             par::PartitionKind::RowBlocks, threads);
-      break;
-    case par::Schedule::Dynamic:
-    case par::Schedule::Guided:
-      // Finer row blocks so the OpenMP runtime has slack to balance with.
-      tiles = par::partition(ctx.dst.width, ctx.dst.height,
-                             par::PartitionKind::RowBlocks, threads * 4);
-      break;
-    case par::Schedule::Steal:
-      // Square tiles in source-locality order, split into the team's
-      // initial deque runs — same planning as PoolBackend's steal path.
-      tiles = order_tiles_by_source_locality(
-          ectx, par::partition(ctx.dst.width, ctx.dst.height,
-                               par::PartitionKind::Tiles, 0, 64, 64));
-      break;
-  }
-  ExecutionPlan p =
-      make_plan(ctx, std::move(tiles), nullptr, std::move(converted));
-  if (schedule_ == par::Schedule::Steal)
-    init_steal_state(p.workspace(), static_cast<unsigned>(threads));
-  return p;
 }
 
 void OpenMpBackend::execute(const ExecutionPlan& plan,
@@ -622,11 +527,11 @@ void OpenMpBackend::execute(const ExecutionPlan& plan,
   inst.begin_frame(plan.tiles().size());
   const int threads = threads_ > 0 ? threads_ : omp_get_max_threads();
   const int n = static_cast<int>(plan.tiles().size());
-  if (schedule_ == par::Schedule::Steal) {
+  if (options().schedule == par::Schedule::Steal) {
     Workspace& ws = plan.workspace();
     const unsigned team = static_cast<unsigned>(threads);
-    if (!steal_ || steal_->workers() != team)
-      steal_ = std::make_unique<par::StealScheduler>(team);
+    if (!deques_ || deques_->workers() != team)
+      deques_ = std::make_unique<par::StealScheduler>(team);
     // Runs were planned for `team` workers; if the OpenMP max-thread count
     // moved under a threads-unspecified spec since planning, resplit into
     // the workspace's reusable slot.
@@ -639,11 +544,11 @@ void OpenMpBackend::execute(const ExecutionPlan& plan,
                               });
       runs = &ws.resplit_runs;
     }
-    steal_->begin_frame(ws.steal_order.data(), ws.steal_order.size(), *runs);
+    deques_->begin_frame(ws.steal_order.data(), ws.steal_order.size(), *runs);
     par::detail::ErrorSlot errors;
 #pragma omp parallel num_threads(threads)
     {
-      steal_->work(static_cast<unsigned>(omp_get_thread_num()),
+      deques_->work(static_cast<unsigned>(omp_get_thread_num()),
                    [&](std::size_t i) {
                      try {
                        const rt::Stopwatch sw;
@@ -654,7 +559,7 @@ void OpenMpBackend::execute(const ExecutionPlan& plan,
                      }
                    });
     }
-    const par::StealStats ss = steal_->stats();
+    const par::StealStats ss = deques_->stats();
     inst.local_tiles = ss.local;
     inst.stolen_tiles = ss.stolen;
     inst.steals = ss.steals;
@@ -667,7 +572,7 @@ void OpenMpBackend::execute(const ExecutionPlan& plan,
     kernel(ctx.src, ctx.dst, plan.tiles()[static_cast<std::size_t>(i)]);
     inst.tile_seconds[static_cast<std::size_t>(i)] = sw.elapsed_seconds();
   };
-  switch (schedule_) {
+  switch (options().schedule) {
     case par::Schedule::Dynamic: {
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
       for (int i = 0; i < n; ++i) run_tile(i);

@@ -63,7 +63,7 @@ struct ScheduleChoice {
 };
 
 /// Kernel-datapath selection requested by a spec's `datapath=` option on
-/// the simd backend. Thin parse/help wrapper mirroring ScheduleChoice;
+/// the cpu and simd kinds. Thin parse/help wrapper mirroring ScheduleChoice;
 /// the selected variant is still subject to core::effective_variant() at
 /// plan time (gather degrades to SoA/scalar off-AVX2, FISHEYE_FORCE_SCALAR
 /// grounds everything), so a spec tuned on one host runs everywhere.
@@ -210,10 +210,6 @@ class Backend {
   /// every frame and must not pay a string allocation to do so.
   [[nodiscard]] const std::string& cached_name() const;
 
-  /// Invalidate the cached name after a derived-class option changes what
-  /// name() returns (e.g. SimdBackend::set_datapath).
-  void clear_name_cache() noexcept { name_cache_.clear(); }
-
   /// Append the canonical map= and tuned= options to a spec string (no-op
   /// for unset choices).
   [[nodiscard]] std::string decorate_spec(std::string spec) const;
@@ -225,122 +221,98 @@ class Backend {
   mutable std::string name_cache_;
 };
 
-/// Single-thread whole-frame execution (one plan tile).
-class SerialBackend final : public Backend {
- public:
-  using Backend::execute;
-  void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
-  [[nodiscard]] std::string name() const override {
-    return decorate_spec("serial");
-  }
-};
-
-/// Thread-pool execution with a choice of decomposition and schedule.
-/// The partition is computed once at plan time and reused every frame.
+/// The CPU backend: the remap kernel run inline on the caller or across a
+/// thread pool, with schedule, partition and kernel datapath composing
+/// freely. The partition is computed once at plan time and reused every
+/// frame; each lane gets one plan-owned SoA strip scratch.
 ///
 /// schedule=steal additionally reorders the partition at plan time by
 /// Morton code of each tile's *source* bounding-box centroid and
 /// pre-assigns contiguous runs of that order to the workers as initial
 /// deque contents (core/tile_order.hpp, parallel/work_stealing.hpp):
 /// workers walk source-adjacent tiles and steal only to repair imbalance.
-class PoolBackend final : public Backend {
+///
+/// The registry's `cpu` kind exposes every option; `serial`, `pool` and
+/// `simd` are spellings of it with their own defaults (backend_registry).
+class CpuBackend : public Backend {
  public:
+  /// Defaults are the serial configuration: one whole-frame tile, inline.
   struct Options {
     par::Schedule schedule = par::Schedule::Static;
     par::PartitionKind partition = par::PartitionKind::RowBlocks;
-    /// RowBlocks/ColumnBlocks chunk count; 0 = 4 x pool size.
-    int chunks = 0;
+    /// RowBlocks/ColumnBlocks chunk count; 0 = 4 x lanes.
+    int chunks = 1;
     int tile_w = 64;
     int tile_h = 64;
+    /// Kernel datapath, subject to effective_variant() degrade at plan
+    /// time (gather falls back off-AVX2).
+    KernelVariant datapath = KernelVariant::Scalar;
+    /// 1 = inline on the calling thread; otherwise a private pool of this
+    /// many workers (0 = hardware concurrency).
+    unsigned threads = 1;
   };
 
-  /// `pool` must outlive the backend.
-  explicit PoolBackend(par::ThreadPool& pool);
-  PoolBackend(par::ThreadPool& pool, Options options);
-  /// Owns a private pool of `threads` workers (0 = hardware concurrency).
-  explicit PoolBackend(Options options, unsigned threads = 0);
+  /// The serial configuration (Options{}).
+  CpuBackend();
+  explicit CpuBackend(Options options);
+  /// Runs on a shared `pool` (which must outlive the backend);
+  /// `options.threads` is ignored.
+  CpuBackend(par::ThreadPool& pool, Options options);
 
   using Backend::execute;
   [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
   void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
   [[nodiscard]] std::string name() const override;
 
+ protected:
+  /// Plans for `lanes` workers that the derived backend's execute()
+  /// supplies itself (OpenMpBackend's team).
+  CpuBackend(Options options, unsigned lanes);
+
+  [[nodiscard]] const Options& options() const noexcept { return options_; }
+
  private:
-  /// plan() with explicit tuning overrides (tile shape, map); the
-  /// autotuner's probe path and the resolved tuned= path.
+  /// plan() with explicit tuning overrides (datapath, strip, tile shape,
+  /// map); the autotuner's probe path and the resolved tuned= path.
   [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
                                         const TunedSpec& t);
-  /// Resolve a pending tuned=auto by measuring this backend's candidate
-  /// tile shapes on synthesized frames of ctx's geometry.
+  /// Resolve a pending tuned=auto by measuring the candidate tile shapes
+  /// (under a Tiles partition) and SIMD datapaths, strips and map
+  /// representations (under a SIMD datapath) on synthesized frames.
   void maybe_autotune(const ExecContext& ctx);
 
   std::unique_ptr<par::ThreadPool> owned_pool_;
-  par::ThreadPool& pool_;
-  /// Steal-schedule executor over pool_; created on first steal plan and
+  par::ThreadPool* pool_ = nullptr;  ///< null = run inline
+  unsigned lanes_ = 1;
+  /// Steal-schedule executor over pool_; created on first steal frame and
   /// reused every frame (persistent per-worker deques).
   std::unique_ptr<par::WorkStealingPool> steal_;
   Options options_;
 };
 
-/// SoA SIMD kernel (bilinear + FloatLut + constant border only), optionally
-/// run across a thread pool over row blocks planned once.
-class SimdBackend final : public Backend {
- public:
-  /// `pool` may be null for single-threaded SIMD.
-  explicit SimdBackend(par::ThreadPool* pool = nullptr) : pool_(pool) {}
-  /// Owns a private pool; `threads` == 1 means no pool (pure serial SIMD),
-  /// 0 means hardware concurrency.
-  explicit SimdBackend(unsigned threads);
-
-  using Backend::execute;
-  [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
-  void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
-  [[nodiscard]] std::string name() const override;
-
-  /// Explicit kernel datapath (the datapath= option); SimdSoa by default.
-  /// Subject to effective_variant() degrade at plan time.
-  void set_datapath(KernelVariant v);
-  [[nodiscard]] KernelVariant datapath() const noexcept { return datapath_; }
-
- private:
-  /// plan() with explicit tuning overrides (datapath, strip, map); the
-  /// autotuner's probe path and the resolved tuned= path.
-  [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
-                                        const TunedSpec& t);
-  /// Resolve a pending tuned=auto by measuring this backend's candidate
-  /// set (datapath × strip × map representation) on synthesized frames.
-  void maybe_autotune(const ExecContext& ctx);
-
-  std::unique_ptr<par::ThreadPool> owned_pool_;
-  par::ThreadPool* pool_ = nullptr;
-  KernelVariant datapath_ = KernelVariant::SimdSoa;
-};
-
 #ifdef _OPENMP
-/// OpenMP parallel-for over row blocks; the study's original multicore
-/// implementation style. Only built when the toolchain provides OpenMP.
+/// OpenMP parallel-for over the CPU backend's plans; the study's original
+/// multicore implementation style. Only built when the toolchain provides
+/// OpenMP.
 ///
-/// schedule= selects the OpenMP loop schedule over the planned row blocks
-/// (static, dynamic, guided); schedule=steal instead plans a Morton-ordered
-/// tile partition (core/tile_order.hpp) and drives par::StealScheduler from
-/// an `omp parallel` team — same deques and counters as PoolBackend, OpenMP
-/// threads as the lanes.
-class OpenMpBackend final : public Backend {
+/// schedule= selects the OpenMP loop schedule over planned row blocks
+/// (static: one per thread; dynamic, guided: four per thread);
+/// schedule=steal instead plans Morton-ordered 64x64 tiles and drives
+/// par::StealScheduler from an `omp parallel` team — same deques and
+/// counters as the CPU backend, OpenMP threads as the lanes.
+class OpenMpBackend final : public CpuBackend {
  public:
   explicit OpenMpBackend(int threads = 0,
-                         par::Schedule schedule = par::Schedule::Static)
-      : threads_(threads), schedule_(schedule) {}
+                         par::Schedule schedule = par::Schedule::Static);
 
   using Backend::execute;
-  [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
   void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
   [[nodiscard]] std::string name() const override;
 
  private:
   int threads_;
-  par::Schedule schedule_;
   /// Deques for schedule=steal; sized to the team on first steal frame.
-  std::unique_ptr<par::StealScheduler> steal_;
+  std::unique_ptr<par::StealScheduler> deques_;
 };
 #endif
 

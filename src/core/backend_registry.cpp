@@ -168,51 +168,53 @@ void BackendSpec::finish(const std::string& valid) const {
 
 // ---------------------------------------------------------------------------
 
-void apply_map_option(BackendSpec& spec, Backend& backend) {
-  const auto v = spec.value("map");
-  if (!v) return;
+namespace {
+
+/// The spec's `key=` value through `parse` (a *Choice::parse), with errors
+/// prefixed by the offending spec text; nullopt when absent.
+template <class Parse>
+auto parsed_option(BackendSpec& spec, const char* key, Parse parse)
+    -> std::optional<decltype(parse(std::string{}))> {
+  const auto v = spec.value(key);
+  if (!v) return std::nullopt;
   try {
-    backend.set_map_choice(MapChoice::parse(*v));
+    return parse(*v);
   } catch (const InvalidArgument& e) {
-    throw InvalidArgument("backend spec '" + spec.text() + "': " +
-                          e.what());
+    throw InvalidArgument("backend spec '" + spec.text() + "': " + e.what());
   }
+}
+
+}  // namespace
+
+void apply_map_option(BackendSpec& spec, Backend& backend) {
+  if (const auto c = parsed_option(spec, "map", MapChoice::parse))
+    backend.set_map_choice(*c);
 }
 
 namespace {
 
-/// Parse a spec's `schedule=` option through ScheduleChoice, prefixing
-/// errors with the offending spec text. Returns `def` when absent.
+/// Parse a spec's `schedule=` option; `def` when absent.
 par::Schedule schedule_option(BackendSpec& spec, par::Schedule def) {
-  const auto v = spec.value("schedule");
-  if (!v) return def;
-  try {
-    return ScheduleChoice::parse(*v);
-  } catch (const InvalidArgument& e) {
-    throw InvalidArgument("backend spec '" + spec.text() + "': " + e.what());
-  }
+  return parsed_option(spec, "schedule", ScheduleChoice::parse).value_or(def);
 }
 
-/// Parse a spec's `tuned=` option through TunedChoice, prefixing errors
-/// with the offending spec text. No-op when absent.
-void apply_tuned_option(BackendSpec& spec, Backend& backend) {
-  const auto v = spec.value("tuned");
-  if (!v) return;
-  try {
-    backend.set_tuned(TunedChoice::parse(*v));
-  } catch (const InvalidArgument& e) {
-    throw InvalidArgument("backend spec '" + spec.text() + "': " + e.what());
-  }
-}
-
+constexpr const char* kCpuOptions =
+    "static|dynamic|guided|steal (or schedule=static|dynamic|guided|steal), "
+    "rows[=N]|cyclic|tiles|cols[=N], chunks=N, tile=WxH, threads=N, "
+    "datapath=scalar|soa|gather, map=float|packed|compact:<stride>, "
+    "tuned=auto|<spec>";
 constexpr const char* kPoolOptions =
     "static|dynamic|guided|steal (or schedule=static|dynamic|guided|steal), "
     "rows[=N]|cyclic|tiles|cols[=N], chunks=N, "
     "tile=WxH, threads=N, map=float|packed|compact:<stride>, "
     "tuned=auto|<spec>";
+constexpr const char* kSimdOptions =
+    "threads=N (1 = no pool), datapath=scalar|soa|gather, "
+    "map=float|compact:<stride>, tuned=auto|<spec>";
+constexpr const char* kSerialOptions = "map=float|packed|compact:<stride>";
 
-std::unique_ptr<Backend> make_pool(BackendSpec& spec) {
-  PoolBackend::Options o;
+/// The schedule and partition tokens of the cpu and pool kinds.
+void parse_layout(BackendSpec& spec, CpuBackend::Options& o) {
   if (spec.flag("dynamic")) o.schedule = par::Schedule::Dynamic;
   if (spec.flag("guided")) o.schedule = par::Schedule::Guided;
   if (spec.flag("steal")) o.schedule = par::Schedule::Steal;
@@ -236,59 +238,95 @@ std::unique_ptr<Backend> make_pool(BackendSpec& spec) {
   }
   o.chunks = spec.value_int("chunks", o.chunks);
   std::tie(o.tile_w, o.tile_h) = spec.value_dims("tile", o.tile_w, o.tile_h);
-  const int threads = spec.value_int("threads", 0);
-  require_spec_range(spec, "threads", threads, 0, 1024);
   require_spec_range(spec, "chunks/rows/cols", o.chunks, 0, 1 << 20);
   require_spec_range(spec, "tile", o.tile_w, 1, 1 << 16);
   require_spec_range(spec, "tile", o.tile_h, 1, 1 << 16);
-  auto backend = std::make_unique<PoolBackend>(o,
-                                               static_cast<unsigned>(threads));
+}
+
+/// Parse a spec's `datapath=` option; `def` when absent.
+KernelVariant datapath_option(BackendSpec& spec, KernelVariant def) {
+  return parsed_option(spec, "datapath", DatapathChoice::parse).value_or(def);
+}
+
+/// The spec's `threads=` value; nullopt when absent.
+std::optional<unsigned> threads_option(BackendSpec& spec) {
+  const auto v = spec.value("threads");
+  if (!v) return std::nullopt;
+  const int threads = parse_int(spec.text(), "threads", *v);
+  require_spec_range(spec, "threads", threads, 0, 1024);
+  return static_cast<unsigned>(threads);
+}
+
+/// Apply the map= and tuned= options and reject anything left over.
+std::unique_ptr<Backend> with_map_and_tuned(BackendSpec& spec,
+                                            std::unique_ptr<Backend> backend,
+                                            const char* valid) {
   apply_map_option(spec, *backend);
-  apply_tuned_option(spec, *backend);
-  spec.finish(kPoolOptions);
+  if (const auto t = parsed_option(spec, "tuned", TunedChoice::parse))
+    backend->set_tuned(*t);
+  spec.finish(valid);
   return backend;
 }
 
-constexpr const char* kSimdOptions =
-    "threads=N (1 = no pool), datapath=scalar|soa|gather, "
-    "map=float|compact:<stride>, tuned=auto|<spec>";
+/// `cpu`, and `pool` (its grammar minus datapath=, so scalar kernels).
+/// Defaults: static schedule over 4 x threads row blocks, one private
+/// worker per hardware thread.
+std::unique_ptr<Backend> make_cpu(BackendSpec& spec, bool datapath,
+                                  const char* valid) {
+  CpuBackend::Options o{.chunks = 0, .threads = 0};
+  parse_layout(spec, o);
+  o.threads = threads_option(spec).value_or(0);
+  if (datapath) o.datapath = datapath_option(spec, o.datapath);
+  return with_map_and_tuned(spec, std::make_unique<CpuBackend>(o), valid);
+}
 
+/// `simd`: the SoA datapath under a dynamic schedule over 4 x threads row
+/// blocks (one whole-frame tile at threads=1), on the process-wide
+/// default pool when threads= is absent.
 std::unique_ptr<Backend> make_simd(BackendSpec& spec) {
-  const std::optional<std::string> tv = spec.value("threads");
-  const int threads = tv ? parse_int(spec.text(), "threads", *tv) : -1;
-  if (tv) require_spec_range(spec, "threads", threads, 0, 1024);
-  auto backend =
-      threads < 0 ? std::make_unique<SimdBackend>(&par::default_pool())
-                  : std::make_unique<SimdBackend>(
-                        static_cast<unsigned>(threads));
-  if (const auto dv = spec.value("datapath")) {
-    try {
-      backend->set_datapath(DatapathChoice::parse(*dv));
-    } catch (const InvalidArgument& e) {
-      throw InvalidArgument("backend spec '" + spec.text() + "': " +
-                            e.what());
-    }
+  CpuBackend::Options o{.schedule = par::Schedule::Dynamic,
+                        .chunks = 0,
+                        .datapath = KernelVariant::SimdSoa};
+  const std::optional<unsigned> threads = threads_option(spec);
+  o.datapath = datapath_option(spec, o.datapath);
+  std::unique_ptr<CpuBackend> backend;
+  if (threads) {
+    o.threads = *threads;
+    if (o.threads == 1) o.chunks = 1;
+    backend = std::make_unique<CpuBackend>(o);
+  } else {
+    backend = std::make_unique<CpuBackend>(par::default_pool(), o);
   }
-  apply_map_option(spec, *backend);
-  apply_tuned_option(spec, *backend);
-  spec.finish(kSimdOptions);
-  return backend;
+  return with_map_and_tuned(spec, std::move(backend), kSimdOptions);
 }
 
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
   // Core CPU kinds are registered here rather than via static objects so
-  // they exist the moment anyone reaches the registry.
-  add("serial", "single-thread whole-frame; map=float|packed|compact:<stride>",
+  // they exist the moment anyone reaches the registry. serial, pool and
+  // simd are spellings of cpu: each keeps its own grammar and defaults,
+  // and name() reports the canonical cpu: spec.
+  add("cpu", kCpuOptions, [](BackendSpec& spec) {
+    return make_cpu(spec, true, kCpuOptions);
+  });
+  add("serial",
+      std::string("alias of cpu:threads=1,rows=1; ") + kSerialOptions,
       [](BackendSpec& spec) -> std::unique_ptr<Backend> {
-        auto backend = std::make_unique<SerialBackend>();
+        auto backend = std::make_unique<CpuBackend>();
         apply_map_option(spec, *backend);
-        spec.finish("map=float|packed|compact:<stride>");
+        spec.finish(kSerialOptions);
         return backend;
       });
-  add("pool", kPoolOptions, make_pool);
-  add("simd", kSimdOptions, make_simd);
+  add("pool",
+      std::string("alias of cpu with datapath=scalar; ") + kPoolOptions,
+      [](BackendSpec& spec) { return make_cpu(spec, false, kPoolOptions); });
+  add("simd",
+      std::string(
+          "alias of cpu:dynamic,rows,datapath=soa (rows=1 at threads=1, "
+          "the shared pool without threads=); ") +
+          kSimdOptions,
+      make_simd);
 #ifdef _OPENMP
   add("openmp",
       "threads=N, schedule=static|dynamic|guided|steal, "

@@ -3,10 +3,12 @@
 // A backend spec is `kind[:option,option,...]` where each option is a bare
 // flag (`dbuf`) or `key=value` (`threads=4`, `tile=128x32`). Examples:
 //
-//   serial
+//   cpu:steal,tiles,tile=128x64,threads=8,datapath=gather
+//   serial                      (alias of cpu:threads=1,rows=1)
 //   pool:dynamic,rows=16,threads=8
 //   pool:guided,tiles,tile=128x64
-//   simd:threads=4
+//   simd:threads=4              (alias of cpu:dynamic,rows,threads=4,
+//                                datapath=soa)
 //   openmp                      (when built with OpenMP)
 //   cell:spes=4,sbuf            (linking fisheye_accel)
 //   gpu:sms=16,clock=1.5

@@ -9,7 +9,7 @@
 //                   .fov_degrees(180.0)
 //                   .output_size(1280, 720)
 //                   .build();
-//   core::SerialBackend serial;
+//   core::CpuBackend serial;  // = BackendRegistry::create("serial")
 //   corr.correct(fisheye_frame.view(), out.view(), serial);
 #pragma once
 

@@ -10,6 +10,10 @@
 // first exception is rethrown on the calling thread (E.25-friendly: no
 // exception crosses a thread boundary unobserved).
 //
+// parallel_for_lanes also hands the body its lane index in
+// [0, pool.size()), unique among the lanes running at once, so callers can
+// give each lane its own scratch (the CPU backend's SoA strips).
+//
 // Header templates end to end: the body is never erased into a
 // std::function, so per-frame dispatch (the pooled backends' hot path)
 // performs no heap allocation — see ThreadPool::run_indexed.
@@ -75,31 +79,35 @@ void run_steal(ThreadPool& pool, std::size_t n, std::size_t chunk,
   std::vector<std::uint32_t> order(items);
   for (std::size_t i = 0; i < items; ++i)
     order[i] = static_cast<std::uint32_t>(i);
-  WorkStealingPool ws(pool);
-  const std::vector<std::size_t> runs =
-      balanced_runs(items, ws.size(), [](std::size_t) { return 1.0; });
-  ws.run_ordered(order.data(), items, runs, [&](std::size_t i) {
-    const std::size_t b = i * chunk;
-    guarded(b, std::min(b + chunk, n));
+  StealScheduler scheduler(pool.size());
+  const std::vector<std::size_t> runs = balanced_runs(
+      items, scheduler.workers(), [](std::size_t) { return 1.0; });
+  scheduler.begin_frame(order.data(), items, runs);
+  pool.run_indexed(scheduler.workers(), [&](std::size_t lane) {
+    scheduler.work(static_cast<unsigned>(lane), [&](std::size_t i) {
+      const std::size_t b = i * chunk;
+      guarded(lane, b, std::min(b + chunk, n));
+    });
   });
 }
 
 }  // namespace detail
 
-/// Run `body(begin, end)` over [0, n) split across `pool` per `opts`.
+/// Run `body(lane, begin, end)` over [0, n) split across `pool` per `opts`.
 /// `body` receives contiguous half-open subranges and must be data-race
-/// free across disjoint ranges.
+/// free across disjoint ranges; `lane` < pool.size() is never shared by
+/// two bodies running at the same time.
 template <class Body>
-void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
-                  ForOptions opts = {}) {
+void parallel_for_lanes(ThreadPool& pool, std::size_t n, const Body& body,
+                        ForOptions opts = {}) {
   if (n == 0) return;
   FE_EXPECTS(opts.chunk >= 1);
   const std::size_t lanes = std::min<std::size_t>(pool.size(), n);
 
   detail::ErrorSlot errors;
-  auto guarded = [&](std::size_t b, std::size_t e) {
+  auto guarded = [&](std::size_t lane, std::size_t b, std::size_t e) {
     try {
-      body(b, e);
+      body(lane, b, e);
     } catch (...) {
       errors.capture();
     }
@@ -111,19 +119,19 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
       pool.run_indexed(lanes, [&](std::size_t lane) {
         const std::size_t b = n * lane / lanes;
         const std::size_t e = n * (lane + 1) / lanes;
-        if (b < e) guarded(b, e);
+        if (b < e) guarded(lane, b, e);
       });
       break;
     }
     case Schedule::Dynamic: {
       std::atomic<std::size_t> cursor{0};
       const std::size_t chunk = opts.chunk;
-      pool.run_indexed(lanes, [&](std::size_t) {
+      pool.run_indexed(lanes, [&](std::size_t lane) {
         for (;;) {
           const std::size_t b =
               cursor.fetch_add(chunk, std::memory_order_relaxed);
           if (b >= n) return;
-          guarded(b, std::min(b + chunk, n));
+          guarded(lane, b, std::min(b + chunk, n));
         }
       });
       break;
@@ -131,7 +139,7 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
     case Schedule::Guided: {
       std::atomic<std::size_t> cursor{0};
       const std::size_t min_chunk = opts.chunk;
-      pool.run_indexed(lanes, [&](std::size_t) {
+      pool.run_indexed(lanes, [&](std::size_t lane) {
         for (;;) {
           // Optimistic size estimate from the current cursor; claim with a
           // single fetch_add of that size (classic guided self-scheduling).
@@ -143,14 +151,14 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
           const std::size_t b =
               cursor.fetch_add(want, std::memory_order_relaxed);
           if (b >= n) return;
-          guarded(b, std::min(b + want, n));
+          guarded(lane, b, std::min(b + want, n));
         }
       });
       break;
     }
     case Schedule::Steal: {
       // Generic entry point: chunks in index order, even initial runs, and
-      // work stealing to repair imbalance. The pooled backend's steal
+      // work stealing to repair imbalance. The CPU backend's steal
       // schedule does NOT come through here — it pre-orders plan tiles by
       // source locality and reuses a persistent WorkStealingPool (see
       // work_stealing.hpp); this path serves ad-hoc parallel_for callers.
@@ -159,6 +167,16 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
     }
   }
   errors.rethrow_if_set();
+}
+
+/// Run `body(begin, end)` over [0, n): parallel_for_lanes without the lane.
+template <class Body>
+void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
+                  ForOptions opts = {}) {
+  parallel_for_lanes(
+      pool, n,
+      [&body](std::size_t, std::size_t b, std::size_t e) { body(b, e); },
+      opts);
 }
 
 /// Convenience: per-index body.

@@ -119,7 +119,7 @@ TEST(Integration, CorrectionRestoresStripeStraightness) {
                    {core::Interp::Bilinear, img::BorderMode::Constant, 0});
 
   const core::Corrector corr = core::Corrector::builder(w, h).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   img::Image8 corrected(w, h, 1);
   corr.correct(fish.view(), corrected.view(), backend);
 

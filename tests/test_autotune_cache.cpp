@@ -111,7 +111,9 @@ TEST_F(AutotuneCacheDisk, TruncatedEntryIsSkipped) {
 }
 
 TEST_F(AutotuneCacheDisk, BinaryGarbageNeverThrows) {
-  std::string junk("\x7f""ELF\x01\x02\x00garbage\n\x00\xff\xfe\ttab\n", 28);
+  static constexpr char kJunk[] =
+      "\x7f""ELF\x01\x02\x00garbage\n\x00\xff\xfe\ttab\n";
+  const std::string junk(kJunk, sizeof(kJunk) - 1);  // embedded NULs kept
   write_file(junk);
   AutotuneCache& cache = AutotuneCache::instance();
   EXPECT_NO_THROW(cache.reload_disk());

@@ -13,6 +13,7 @@
 #include "core/backend_registry.hpp"
 #include "core/corrector.hpp"
 #include "image/metrics.hpp"
+#include "simd/remap_simd.hpp"
 #include "util/error.hpp"
 #include "video/pipeline.hpp"
 
@@ -74,7 +75,39 @@ TEST(BackendRegistry, SpecStringsRoundTripThroughName) {
     const auto backend = BackendRegistry::create(spec);
     const std::string canonical = backend->name();
     EXPECT_EQ(BackendRegistry::create(canonical)->name(), canonical) << spec;
+    // serial, pool and simd are spellings of the one cpu kind.
+    const std::string kind = core::BackendSpec::parse(spec).kind();
+    if (kind == "serial" || kind == "pool" || kind == "simd") {
+      EXPECT_EQ(canonical.rfind("cpu:", 0), 0u) << spec << " -> " << canonical;
+    }
   }
+}
+
+TEST(BackendRegistry, AliasesKeepTheirTilesAndLanes) {
+  // serial, pool and simd only set cpu defaults: their plans keep the
+  // tiles they always had, and simd keeps one SoA scratch per lane over
+  // its 4N dynamic row blocks (the camera benchmark's decomposed frame
+  // relies on that).
+  const Corrector corr = Corrector::builder(160, 120).build();
+  const struct {
+    const char* spec;
+    std::size_t tiles;
+    std::size_t lanes;
+  } cases[] = {
+      {"serial", 1, 1},         {"cpu:threads=1,rows=1", 1, 1},
+      {"simd:threads=1", 1, 1}, {"simd:threads=3", 12, 3},
+      {"pool:threads=1", 4, 1}, {"pool:threads=2", 8, 2},
+  };
+  for (const auto& c : cases) {
+    const auto backend = BackendRegistry::create(c.spec);
+    const Corrector::Prepared prepared = corr.prepare(*backend);
+    EXPECT_EQ(prepared.plan.tiles().size(), c.tiles) << c.spec;
+    EXPECT_EQ(prepared.plan.workspace().soa.size(), c.lanes) << c.spec;
+  }
+  EXPECT_EQ(BackendRegistry::create("serial")->name(),
+            BackendRegistry::create("cpu:threads=1,rows=1")->name());
+  EXPECT_EQ(BackendRegistry::create("simd:threads=2,datapath=gather")->name(),
+            "cpu:dynamic,rows,threads=2,datapath=gather");
 }
 
 TEST(BackendRegistry, UnknownKindListsRegisteredKinds) {

@@ -1,12 +1,16 @@
-// Exhaustive backend-configuration property sweep: PoolBackend must match
-// SerialBackend bit-exactly for EVERY interpolation kernel, border mode,
-// map mode, schedule and channel count — the parallel decomposition can
-// never change the image.
+// Exhaustive backend-configuration property sweep: a pooled CpuBackend
+// must match the serial one bit-exactly for EVERY interpolation kernel,
+// border mode, map mode, schedule and channel count — the parallel
+// decomposition can never change the image. The integer-map SIMD datapaths
+// are bit-exact too, so they run under every non-dynamic schedule as well.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "core/corrector.hpp"
+#include "core/kernel.hpp"
 #include "image/metrics.hpp"
 #include "video/pipeline.hpp"
 
@@ -21,7 +25,12 @@ struct SweepCase {
   core::MapMode mode;
   par::Schedule schedule;
   int channels;
+  core::KernelVariant datapath = core::KernelVariant::Scalar;
+  // gtest names each case by dumping its bytes: fill the alignment hole
+  // after the 1-byte datapath so the names are the same run to run.
+  std::uint8_t gap[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
@@ -33,6 +42,10 @@ std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   s += '_';
   s += par::schedule_name(c.schedule);
   s += "_c" + std::to_string(c.channels);
+  if (c.datapath != core::KernelVariant::Scalar) {
+    s += '_';
+    s += core::DatapathChoice::token(c.datapath);
+  }
   for (char& ch : s)
     if (ch == '-') ch = '_';
   return s;
@@ -54,13 +67,13 @@ TEST_P(BackendSweep, PoolMatchesSerialBitExact) {
                                    .border(c.border, 13)
                                    .map_mode(c.mode)
                                    .build();
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   img::Image8 ref(w, h, c.channels), out(w, h, c.channels);
   corr.correct(src.view(), ref.view(), serial);
 
   par::ThreadPool pool(4);
-  core::PoolBackend backend(
-      pool, {c.schedule, par::PartitionKind::Tiles, 0, 40, 24});
+  core::CpuBackend backend(
+      pool, {c.schedule, par::PartitionKind::Tiles, 0, 40, 24, c.datapath});
   corr.correct(src.view(), out.view(), backend);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
 }
@@ -87,6 +100,22 @@ std::vector<SweepCase> make_cases() {
       cases.push_back({core::Interp::Bilinear, img::BorderMode::Constant,
                        core::MapMode::OnTheFly, sched, channels});
     }
+  // SIMD datapaths under the schedules the simd kind never offered, at
+  // every integer-map point the kernel catalogue has.
+  for (const par::Schedule sched :
+       {par::Schedule::Static, par::Schedule::Guided, par::Schedule::Steal})
+    for (const core::KernelVariant datapath :
+         {core::KernelVariant::SimdSoa, core::KernelVariant::SimdGather})
+      for (const core::MapMode mode :
+           {core::MapMode::PackedLut, core::MapMode::CompactLut})
+        for (const int channels : {1, 3})
+          if (core::kernel_supported({mode, core::Interp::Bilinear,
+                                      img::BorderMode::Constant,
+                                      core::PixelLayout::InterleavedU8,
+                                      datapath}))
+            cases.push_back({core::Interp::Bilinear,
+                             img::BorderMode::Constant, mode, sched,
+                             channels, datapath});
   return cases;
 }
 

@@ -40,7 +40,7 @@ TEST_P(BackendEquivalence, PoolSchedulesMatchSerialBitExact) {
       Corrector::builder(w, h).fov_degrees(180.0).build();
   const img::Image8 src = fisheye_input(w, h, ch);
   img::Image8 ref(w, h, ch);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(src.view(), ref.view(), serial);
 
   par::ThreadPool pool(4);
@@ -50,7 +50,7 @@ TEST_P(BackendEquivalence, PoolSchedulesMatchSerialBitExact) {
     for (const par::PartitionKind part :
          {par::PartitionKind::RowBlocks, par::PartitionKind::RowCyclic,
           par::PartitionKind::Tiles, par::PartitionKind::ColumnBlocks}) {
-      core::PoolBackend backend(pool, {sched, part, 0, 48, 24});
+      core::CpuBackend backend(pool, {sched, part, 0, 48, 24});
       img::Image8 out(w, h, ch);
       corr.correct(src.view(), out.view(), backend);
       EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
@@ -64,15 +64,18 @@ TEST_P(BackendEquivalence, SimdWithinOneLevelOfSerial) {
       Corrector::builder(w, h).fov_degrees(180.0).build();
   const img::Image8 src = fisheye_input(w, h, ch);
   img::Image8 ref(w, h, ch), out(w, h, ch);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(src.view(), ref.view(), serial);
 
-  core::SimdBackend simd_serial(nullptr);
+  core::CpuBackend simd_serial({.datapath = core::KernelVariant::SimdSoa});
   corr.correct(src.view(), out.view(), simd_serial);
   EXPECT_LT(img::fraction_differing(ref.view(), out.view(), 1), 0.01);
 
   par::ThreadPool pool(3);
-  core::SimdBackend simd_pool(&pool);
+  core::CpuBackend simd_pool(
+      pool, {.schedule = par::Schedule::Dynamic,
+             .chunks = 0,
+             .datapath = core::KernelVariant::SimdSoa});
   img::Image8 out2(w, h, ch);
   corr.correct(src.view(), out2.view(), simd_pool);
   // Threaded SIMD must equal serial SIMD exactly (same kernel, disjoint
@@ -86,7 +89,7 @@ TEST_P(BackendEquivalence, CellSimulatorMatchesSerialBitExact) {
       Corrector::builder(w, h).fov_degrees(180.0).build();
   const img::Image8 src = fisheye_input(w, h, ch);
   img::Image8 ref(w, h, ch), out(w, h, ch);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(src.view(), ref.view(), serial);
 
   accel::SpeConfig config;
@@ -105,7 +108,7 @@ TEST_P(BackendEquivalence, FpgaSimulatorMatchesPackedReference) {
                              .build();
   const img::Image8 src = fisheye_input(w, h, ch);
   img::Image8 ref(w, h, ch), out(w, h, ch);
-  core::SerialBackend serial;  // serial PackedLut path
+  core::CpuBackend serial;  // serial PackedLut path
   corr.correct(src.view(), ref.view(), serial);
 
   accel::FpgaBackend fpga(accel::FpgaConfig{});
@@ -121,7 +124,7 @@ TEST_P(BackendEquivalence, OpenMpMatchesSerialBitExact) {
       Corrector::builder(w, h).fov_degrees(180.0).build();
   const img::Image8 src = fisheye_input(w, h, ch);
   img::Image8 ref(w, h, ch), out(w, h, ch);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(src.view(), ref.view(), serial);
   core::OpenMpBackend omp(2);
   corr.correct(src.view(), out.view(), omp);
@@ -151,23 +154,24 @@ TEST(Backends, OtfModeAcrossSchedulesMatchesSerial) {
   video::SyntheticVideoSource source(cam, 160, 120, 1);
   const img::Image8 src = source.frame(0);
   img::Image8 ref(160, 120, 1), out(160, 120, 1);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(src.view(), ref.view(), serial);
   par::ThreadPool pool(4);
-  core::PoolBackend backend(pool,
-                            {par::Schedule::Dynamic,
-                             par::PartitionKind::RowCyclic, 0, 64, 64});
+  core::CpuBackend backend(pool,
+                           {par::Schedule::Dynamic,
+                            par::PartitionKind::RowCyclic, 0, 64, 64});
   corr.correct(src.view(), out.view(), backend);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
 }
 
 TEST(Backends, NamesDescribeConfiguration) {
   par::ThreadPool pool(2);
-  EXPECT_EQ(core::SerialBackend{}.name(), "serial");
-  core::PoolBackend pb(pool, {par::Schedule::Guided,
-                              par::PartitionKind::Tiles, 0, 64, 64});
-  EXPECT_EQ(pb.name(), "pool:guided,tiles,tile=64x64,threads=2");
-  EXPECT_EQ(core::SimdBackend{}.name(), "simd:threads=1");
+  EXPECT_EQ(core::CpuBackend{}.name(), "cpu:static,rows=1,threads=1");
+  core::CpuBackend pb(pool, {par::Schedule::Guided,
+                             par::PartitionKind::Tiles, 0, 64, 64});
+  EXPECT_EQ(pb.name(), "cpu:guided,tiles,tile=64x64,threads=2");
+  EXPECT_EQ(core::CpuBackend({.datapath = core::KernelVariant::SimdSoa}).name(),
+            "cpu:static,rows=1,threads=1,datapath=soa");
   accel::SpeConfig sc;
   sc.num_spes = 6;
   sc.double_buffering = false;
@@ -180,7 +184,7 @@ TEST(Backends, SimdRejectsUnsupportedModes) {
                              .map_mode(core::MapMode::OnTheFly)
                              .build();
   img::Image8 src(64, 64, 1), dst(64, 64, 1);
-  core::SimdBackend simd;
+  core::CpuBackend simd({.datapath = core::KernelVariant::SimdSoa});
   EXPECT_THROW(corr.correct(src.view(), dst.view(), simd),
                InvalidArgument);
 }

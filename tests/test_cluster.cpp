@@ -28,7 +28,7 @@ struct Env {
 img::Image8 reference(const Env& e) {
   img::Image8 ref(e.corr.config().out_width, e.corr.config().out_height,
                   e.src.channels());
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   e.corr.correct(e.src.view(), ref.view(), serial);
   return ref;
 }

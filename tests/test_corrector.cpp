@@ -81,7 +81,7 @@ TEST(Corrector, InvalidConfigsViolateContracts) {
 
 TEST(Corrector, RejectsMismatchedFrames) {
   const Corrector corr = Corrector::builder(64, 64).build();
-  SerialBackend backend;
+  CpuBackend backend;
   img::Image8 wrong(32, 32, 1), out(64, 64, 1), src(64, 64, 1),
       out3(64, 64, 3);
   EXPECT_THROW(corr.correct(wrong.view(), out.view(), backend),
@@ -134,7 +134,7 @@ TEST(Corrector, StraightensDistortedVerticalLine) {
   const double bow_fish = spread(fish, h / 4, 3 * h / 4);
 
   const Corrector corr = Corrector::builder(w, h).fov_degrees(180.0).build();
-  SerialBackend backend;
+  CpuBackend backend;
   img::Image8 corrected(w, h, 1);
   corr.correct(fish.view(), corrected.view(), backend);
   const double bow_corr = spread(corrected, h / 4, 3 * h / 4);

@@ -109,7 +109,7 @@ TEST(Remap, EndToEndUndistortsLikeCorrector) {
   remap(fish.view(), shim_out.view(), map);
 
   const core::Corrector corr = core::Corrector::builder(w, h).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   img::Image8 native_out(w, h, 1);
   corr.correct(fish.view(), native_out.view(), backend);
 

@@ -99,7 +99,7 @@ TEST(GpuPlatform, BackendAdapterWorksAndCaches) {
   const Env s(w, h);
   GpuBackend backend(GpuConfig{});
   img::Image8 out(w, h, 1), ref(w, h, 1);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(s.src.view(), ref.view(), serial);
   corr.correct(s.src.view(), out.view(), backend);
   // Note: Env's map and corr's map are built identically.

@@ -36,7 +36,7 @@ TEST(Integration, CheckerboardEdgesStraightenAcrossTheFrame) {
                    {core::Interp::Bilinear, img::BorderMode::Constant, 0});
 
   const Corrector corr = Corrector::builder(w, h).fov_degrees(180.0).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   img::Image8 corrected(w, h, 1);
   corr.correct(fish.view(), corrected.view(), backend);
 
@@ -118,7 +118,7 @@ TEST(Integration, CorrectedFrameSurvivesFileRoundTrip) {
                                                  deg_to_rad(180.0), w, h);
   video::SyntheticVideoSource source(cam, w, h, 3);
   const Corrector corr = Corrector::builder(w, h).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   img::Image8 out(w, h, 3);
   corr.correct(source.frame(0).view(), out.view(), backend);
   const std::string path = ::testing::TempDir() + "/fe_integration.ppm";
@@ -187,16 +187,17 @@ TEST(Integration, AllPlatformsAgreeOnOneFrame) {
       Corrector::builder(w, h).map_mode(core::MapMode::PackedLut).build();
 
   img::Image8 ref(w, h, 1);
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   float_corr.correct(fish.view(), ref.view(), serial);
 
   par::ThreadPool pool(4);
-  core::PoolBackend pooled(pool);
+  core::CpuBackend pooled(
+      pool, {par::Schedule::Static, par::PartitionKind::RowBlocks, 0});
   img::Image8 out_pool(w, h, 1);
   float_corr.correct(fish.view(), out_pool.view(), pooled);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out_pool.view()));
 
-  core::SimdBackend simd;
+  core::CpuBackend simd({.datapath = core::KernelVariant::SimdSoa});
   img::Image8 out_simd(w, h, 1);
   float_corr.correct(fish.view(), out_simd.view(), simd);
   EXPECT_LT(img::fraction_differing(ref.view(), out_simd.view(), 1), 0.01);
@@ -237,7 +238,7 @@ TEST(Integration, CalibrateThenCorrectRecoversGeometry) {
   const Corrector corr_truth = Corrector::builder(w, h).build();
   video::SyntheticVideoSource source(truth, w, h, 1);
   const img::Image8 fish = source.frame(0);
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   img::Image8 a(w, h, 1), b(w, h, 1);
   corr_est.correct(fish.view(), a.view(), backend);
   corr_truth.correct(fish.view(), b.view(), backend);

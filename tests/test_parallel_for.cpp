@@ -177,6 +177,32 @@ TEST(ParallelForEach, SumsCorrectly) {
   EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
 }
 
+TEST(ParallelForLanes, LanesAreInRangeAndNeverShared) {
+  // The lane index is what lets a caller hand each body its own scratch:
+  // it must stay below pool.size() and never be held by two running
+  // bodies at once, under every schedule.
+  ThreadPool pool(4);
+  for (const Schedule s : {Schedule::Static, Schedule::Dynamic,
+                           Schedule::Guided, Schedule::Steal}) {
+    std::vector<std::atomic<int>> busy(pool.size());
+    std::vector<std::atomic<int>> hits(1000);
+    std::atomic<bool> shared{false};
+    parallel_for_lanes(
+        pool, hits.size(),
+        [&](std::size_t lane, std::size_t b, std::size_t e) {
+          ASSERT_LT(lane, pool.size());
+          if (busy[lane].fetch_add(1) != 0) shared = true;
+          for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+          std::this_thread::yield();
+          busy[lane].fetch_sub(1);
+        },
+        {s, 7});
+    EXPECT_FALSE(shared.load()) << schedule_name(s);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << schedule_name(s) << " index " << i;
+  }
+}
+
 // --- parallel_rows ----------------------------------------------------------
 
 TEST(ParallelRows, CoversEveryRowExactlyOnce) {

@@ -50,7 +50,7 @@ bool eventually(Pred pred, double timeout_s = 10.0) {
 
 struct Harness {
   Corrector corr = Corrector::builder(kW, kH).fov_degrees(180.0).build();
-  core::SerialBackend serial;
+  core::CpuBackend serial;
 
   img::Image8 reference(const img::Image8& src) {
     img::Image8 ref(kW, kH, src.view().channels);

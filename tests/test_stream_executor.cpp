@@ -39,7 +39,7 @@ img::Image8 solo_reference(const core::Corrector& corr,
                            const img::Image8& src) {
   img::Image8 out(corr.config().out_width, corr.config().out_height,
                   src.channels());
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   corr.correct(src.view(), out.view(), serial);
   return out;
 }

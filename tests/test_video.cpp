@@ -66,7 +66,7 @@ TEST(Pipeline, RunsAndReportsThroughput) {
   const SyntheticVideoSource source(cam, 160, 120, 1);
   const core::Corrector corr =
       core::Corrector::builder(160, 120).fov_degrees(180.0).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   int sink_calls = 0;
   const PipelineStats stats = run_pipeline(
       source, corr, backend, 5,
@@ -87,7 +87,7 @@ TEST(Pipeline, CorrectedFrameRecoversSceneCentre) {
   const SyntheticVideoSource source(cam, w, h, 1);
   const core::Corrector corr =
       core::Corrector::builder(w, h).fov_degrees(180.0).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   const img::Image8 fish = source.frame(0);
   img::Image8 corrected(w, h, 1);
   corr.correct(fish.view(), corrected.view(), backend);
@@ -119,7 +119,7 @@ TEST(Pipeline, InvalidFrameCountViolatesContract) {
   const auto cam = camera(64, 64);
   const SyntheticVideoSource source(cam, 64, 64, 1);
   const core::Corrector corr = core::Corrector::builder(64, 64).build();
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   EXPECT_THROW(run_pipeline(source, corr, backend, 0),
                fisheye::InvalidArgument);
 }
@@ -132,7 +132,7 @@ TEST(Pipeline, FrameParallelMatchesSerialOutputs) {
       core::Corrector::builder(160, 120).fov_degrees(180.0).build();
   // Collect outputs from both paths via sinks.
   std::vector<img::Image8> serial_outs, parallel_outs;
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   run_pipeline(source, corr, backend, 6,
                [&](int, const img::Image8& f) {
                  serial_outs.push_back(f.clone());

@@ -54,7 +54,7 @@ TEST(YuvCorrector, LumaMatchesGrayPath) {
   const img::Yuv420 yuv = img::rgb_to_yuv420(rgb.view());
 
   const YuvCorrector ycorr(config_for(w, h));
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   const img::Yuv420 out = ycorr.correct_frame(yuv, backend);
 
   // Luma plane must equal correcting the Y plane as a gray image.
@@ -76,7 +76,7 @@ TEST(YuvCorrector, ChromaPlanesAreHalfResAndNeutralOutside) {
   cfg.out_width = 2 * w;
   cfg.out_height = 2 * h;
   const YuvCorrector ycorr(cfg);
-  core::SerialBackend backend;
+  core::CpuBackend backend;
   const img::Yuv420 out = ycorr.correct_frame(yuv, backend);
   EXPECT_EQ(out.u.width(), w);
   EXPECT_EQ(out.v.height(), h);
@@ -95,7 +95,7 @@ TEST(YuvCorrector, EndToEndCloseToRgbPath) {
                                                  deg_to_rad(180.0), w, h);
   const SyntheticVideoSource source(cam, w, h, 3);
   const img::Image8 rgb = source.frame(0);
-  core::SerialBackend backend;
+  core::CpuBackend backend;
 
   const YuvCorrector ycorr(config_for(w, h));
   const img::Yuv420 out_yuv =
@@ -117,10 +117,11 @@ TEST(YuvCorrector, WorksWithPoolBackend) {
   const img::Yuv420 yuv = img::rgb_to_yuv420(source.frame(0).view());
   const YuvCorrector ycorr(config_for(w, h));
 
-  core::SerialBackend serial;
+  core::CpuBackend serial;
   const img::Yuv420 ref = ycorr.correct_frame(yuv, serial);
   par::ThreadPool pool(4);
-  core::PoolBackend pooled(pool);
+  core::CpuBackend pooled(
+      pool, {par::Schedule::Static, par::PartitionKind::RowBlocks, 0});
   const img::Yuv420 out = ycorr.correct_frame(yuv, pooled);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.y.view(), out.y.view()));
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.u.view(), out.u.view()));
