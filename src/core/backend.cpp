@@ -378,8 +378,8 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
   return p;
 }
 
-void CpuBackend::maybe_autotune(const ExecContext& ctx) {
-  if (!tuned().requested || !tuned().pending) return;
+std::vector<AutotuneCandidate> CpuBackend::autotune_candidates(
+    const ExecContext& ctx) const {
   std::vector<AutotuneCandidate> cands;
   // Tile shape: an axis only under a Tiles partition (row/cyclic
   // decompositions ignore tile=).
@@ -399,7 +399,17 @@ void CpuBackend::maybe_autotune(const ExecContext& ctx) {
     std::vector<KernelVariant> variants{KernelVariant::SimdSoa};
     if (simd::gather_available())
       variants.push_back(KernelVariant::SimdGather);
+    // The float-LUT gather kernel runs in one pass with no strip staging:
+    // its strip values would all measure the same kernel.
+    const bool float_lut =
+        map_choice().mode.value_or(ctx.mode) == MapMode::FloatLut;
     for (const KernelVariant v : variants) {
+      if (float_lut && v == KernelVariant::SimdGather) {
+        TunedSpec t;
+        t.datapath = v;
+        cands.push_back({t, t.token()});
+        continue;
+      }
       for (const int strip : {128, simd::kSoaStrip}) {
         TunedSpec t;
         t.datapath = v;
@@ -420,6 +430,12 @@ void CpuBackend::maybe_autotune(const ExecContext& ctx) {
       }
     }
   }
+  return cands;
+}
+
+void CpuBackend::maybe_autotune(const ExecContext& ctx) {
+  if (!tuned().requested || !tuned().pending) return;
+  const std::vector<AutotuneCandidate> cands = autotune_candidates(ctx);
   if (cands.empty()) {
     resolve_tuned(TunedSpec{});
     return;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/camera.hpp"
 #include "core/execution_plan.hpp"
@@ -94,6 +95,8 @@ struct TunedSpec {
 
   [[nodiscard]] bool operator==(const TunedSpec&) const noexcept = default;
 };
+
+struct AutotuneCandidate;  // core/autotune.hpp
 
 /// tuned= option state carried by a backend: requested-but-pending
 /// ("tuned=auto" before the first plan measures) or resolved to a concrete
@@ -264,6 +267,13 @@ class CpuBackend : public Backend {
   void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
   [[nodiscard]] std::string name() const override;
 
+  /// The points tuned=auto measures for `ctx`: tile shapes (under a Tiles
+  /// partition) and SIMD datapaths, strips and map representations (under
+  /// a SIMD datapath). The float-LUT gather kernel has no strip, so it is
+  /// one point there.
+  [[nodiscard]] std::vector<AutotuneCandidate> autotune_candidates(
+      const ExecContext& ctx) const;
+
  protected:
   /// Plans for `lanes` workers that the derived backend's execute()
   /// supplies itself (OpenMpBackend's team).
@@ -276,9 +286,8 @@ class CpuBackend : public Backend {
   /// map); the autotuner's probe path and the resolved tuned= path.
   [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
                                         const TunedSpec& t);
-  /// Resolve a pending tuned=auto by measuring the candidate tile shapes
-  /// (under a Tiles partition) and SIMD datapaths, strips and map
-  /// representations (under a SIMD datapath) on synthesized frames.
+  /// Resolve a pending tuned=auto by measuring autotune_candidates() on
+  /// synthesized frames.
   void maybe_autotune(const ExecContext& ctx);
 
   std::unique_ptr<par::ThreadPool> owned_pool_;

@@ -63,7 +63,7 @@ enum class PixelLayout : std::uint8_t {
 enum class KernelVariant : std::uint8_t {
   Scalar,      ///< portable per-pixel kernels (core/remap.cpp)
   SimdSoa,     ///< two-pass SoA strip kernels (simd/remap_simd.cpp)
-  SimdGather,  ///< AVX2 hardware-gather pass 2 (simd/remap_gather.cpp)
+  SimdGather,  ///< AVX2 hardware-gather taps (simd/remap_gather.cpp)
 };
 
 [[nodiscard]] constexpr const char* variant_name(KernelVariant v) noexcept {

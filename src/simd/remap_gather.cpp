@@ -1,18 +1,25 @@
 // AVX2 gather datapath — see remap_gather.hpp for the contract.
 //
-// Pass 1 fills the shared SoaScratch with clamped tap coordinates and the
-// 0..256 integer blend weights (all three map representations reduce to
-// the same scratch layout, which is what lets one pass-2 serve them all).
-// Pass 2 processes eight pixels per iteration: two masked dword gathers
-// fetch the (x0, x0+1) byte pairs of the top and bottom tap rows, and the
-// factored 8.8 blend
+// Float LUT: one pass, no staging. Per eight output pixels the kernel
+// loads eight src_x/src_y floats and derives floor, tap offset, 8.8
+// weights and interior validity in registers, then gathers and blends.
+//
+// Packed and compact maps: pass 1 fills the shared SoaScratch with tap
+// coordinates and 0..256 integer weights (the two integer representations
+// reduce to the same scratch layout); pass 2 reads it back eight pixels at
+// a time.
+//
+// Every vector blend issues two masked dword gathers per eight lanes and
+// tap row, fetching the (x0, x0+1) byte pair, and evaluates the factored
+// 8.8 blend
 //   v = (256-ay) * ((256-ax) p00 + ax p10) + ay * ((256-ax) p01 + ax p11)
-// accumulates in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up
-// and packs to bytes; three-channel frames gather each tap row twice and
-// blend per channel. Lanes excluded from the vector path — invalid
-// samples, edge-clamped footprints, dword reads that would overrun the
-// buffer's last bytes — are finished by the scalar fixup loop over the
-// same scratch, so every lane runs the identical integer arithmetic.
+// in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up and packs to
+// bytes. Gray lanes run the horizontal stage in 16 bits (a pshufb spreads
+// (p0, p1) into int16 pairs, one madd weighs them); three-channel frames
+// gather each tap row twice and blend per channel in 32 bits. Lanes
+// excluded from the vector path — invalid samples, edge-clamped
+// footprints, dword reads that would overrun the buffer's last bytes — are
+// finished by a scalar fixup with the same integer arithmetic.
 #include "simd/remap_gather.hpp"
 
 #include <algorithm>
@@ -45,23 +52,67 @@ inline int clamp_strip(int strip) noexcept {
   return std::clamp(strip, 8, kSoaStrip);
 }
 
-/// One pixel of the 8.8 integer blend from scratch slot `i` into o[0, ch).
-inline void blend_one(const SoaScratch& s, int i,
-                      const std::uint8_t* __restrict base, std::size_t pitch,
-                      int ch, std::uint8_t* __restrict o) noexcept {
-  const std::uint8_t* __restrict r0 =
-      base + static_cast<std::size_t>(s.y0[i]) * pitch;
-  const std::uint8_t* __restrict r1 =
-      base + static_cast<std::size_t>(s.y1[i]) * pitch;
-  const int lx0 = s.x0[i] * ch;
-  const int lx1 = s.x1[i] * ch;
-  const int ax = s.ax[i], ay = s.ay[i];
+/// True when every byte offset into a `total`-byte source, plus a dword
+/// read, fits the vector loops' int32 lane arithmetic.
+inline bool offsets_fit_int32(std::size_t total) noexcept {
+  return total + 8 <= static_cast<std::size_t>(INT32_MAX);
+}
+
+/// The 8.8 integer blend of one pixel's 2x2 taps — columns lx0/lx1 (byte
+/// offsets) of rows r0/r1 — into o[0, ch).
+inline void blend_taps(const std::uint8_t* __restrict r0,
+                       const std::uint8_t* __restrict r1, int lx0, int lx1,
+                       int ax, int ay, int ch,
+                       std::uint8_t* __restrict o) noexcept {
   for (int c = 0; c < ch; ++c) {
     const int t0 = (256 - ax) * r0[lx0 + c] + ax * r0[lx1 + c];
     const int t1 = (256 - ax) * r1[lx0 + c] + ax * r1[lx1 + c];
     const int v = (256 - ay) * t0 + ay * t1;
     o[c] = static_cast<std::uint8_t>((v + (1 << 15)) >> 16);
   }
+}
+
+/// One pixel of the integer blend from scratch slot `i` into o[0, ch).
+inline void blend_one(const SoaScratch& s, int i,
+                      const std::uint8_t* __restrict base, std::size_t pitch,
+                      int ch, std::uint8_t* __restrict o) noexcept {
+  blend_taps(base + static_cast<std::size_t>(s.y0[i]) * pitch,
+             base + static_cast<std::size_t>(s.y1[i]) * pitch, s.x0[i] * ch,
+             s.x1[i] * ch, s.ax[i], s.ay[i], ch, o);
+}
+
+/// One float-LUT pixel from its map entry (sx, sy) into o[0, ch): the
+/// vector loop's expressions, evaluated scalar. Weights round to nearest
+/// so the quantization error stays under half a weight step (±1 contract);
+/// validity is interior-only, as in the SoA kernel.
+inline void blend_float_one(float sx, float sy, float lim_x, float lim_y,
+                            const std::uint8_t* __restrict base,
+                            std::size_t pitch, int ch, std::uint8_t fill,
+                            std::uint8_t* __restrict o) noexcept {
+  const float fx = std::floor(sx);
+  const float fy = std::floor(sy);
+  if (!((fx >= 0.0f) & (fy >= 0.0f) & (fx < lim_x) & (fy < lim_y))) {
+    for (int c = 0; c < ch; ++c) o[c] = fill;
+    return;
+  }
+  const auto ix = static_cast<std::int32_t>(fx);
+  const auto iy = static_cast<std::int32_t>(fy);
+  const auto ax = static_cast<std::int32_t>((sx - fx) * 256.0f + 0.5f);
+  const auto ay = static_cast<std::int32_t>((sy - fy) * 256.0f + 0.5f);
+  const std::uint8_t* __restrict r0 =
+      base + static_cast<std::size_t>(iy) * pitch;
+  blend_taps(r0, r0 + pitch, ix * ch, (ix + 1) * ch, ax, ay, ch, o);
+}
+
+/// Scalar float-LUT row: pixels [0, n) of map entries mx/my into out.
+void float_row_scalar(const float* __restrict mx, const float* __restrict my,
+                      int n, float lim_x, float lim_y,
+                      const std::uint8_t* __restrict base, std::size_t pitch,
+                      int ch, std::uint8_t fill,
+                      std::uint8_t* __restrict out) noexcept {
+  for (int i = 0; i < n; ++i)
+    blend_float_one(mx[i], my[i], lim_x, lim_y, base, pitch, ch, fill,
+                    out + static_cast<std::size_t>(i) * ch);
 }
 
 /// Scalar pass 2 over scratch slots [i0, i1): the fallback for non-AVX2
@@ -92,90 +143,41 @@ void blend_span_scalar(const SoaScratch& s, int i0, int i1,
 
 #if FISHEYE_HAVE_GATHER
 
-/// AVX2 pass 2 for ch == 1 over scratch slots [0, n). `total` is the
-/// source buffer size in bytes (pitch * height), bounding the dword reads.
-void blend_span_avx2(const SoaScratch& s, int n,
-                     const std::uint8_t* __restrict base, int pitch,
-                     int total, std::uint8_t* __restrict out,
-                     std::uint8_t fill) noexcept {
-  const __m256i vpitch = _mm256_set1_epi32(pitch);
+/// Eight gray lanes whose top tap row starts at byte offset `top` and
+/// bottom row at `bot`: two masked dword gathers (lanes outside `vec` read
+/// nothing), the horizontal stage in 16 bits — a pshufb spreads each
+/// dword's (p0, p1) bytes into an int16 pair and one madd weighs it by the
+/// packed (256 - ax, ax) — the vertical stage in 32 bits, round half-up,
+/// `fill` outside `valid`, and eight bytes stored at `out`.
+inline void blend8_gray(const int* ibase, __m256i top, __m256i bot,
+                        __m256i vec, __m256i valid, __m256i ax, __m256i ay,
+                        __m256i vfill, std::uint8_t* out) noexcept {
   const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vone = _mm256_set1_epi32(1);
   const __m256i v256 = _mm256_set1_epi32(256);
-  const __m256i vff = _mm256_set1_epi32(0xFF);
-  const __m256i vfill = _mm256_set1_epi32(fill);
-  const __m256i vhalf = _mm256_set1_epi32(1 << 15);
-  // Vector lanes read 4 bytes at `bot`; require bot + 4 <= total, i.e.
-  // bot < total - 3 (the last padded row near the right edge can fail
-  // this when pitch == width; those lanes take the fixup path).
-  const __m256i vlim = _mm256_set1_epi32(total - 3);
+  const __m256i spread = _mm256_setr_epi8(
+      0, -1, 1, -1, 4, -1, 5, -1, 8, -1, 9, -1, 12, -1, 13, -1,  //
+      0, -1, 1, -1, 4, -1, 5, -1, 8, -1, 9, -1, 12, -1, 13, -1);
   const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  const int* ibase = reinterpret_cast<const int*>(base);
 
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x0 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.x0 + i));
-    const __m256i y0 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.y0 + i));
-    const __m256i x1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.x1 + i));
-    const __m256i y1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.y1 + i));
-    const __m256i valid = _mm256_cmpgt_epi32(
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.valid + i)),
-        vzero);
-    const __m256i top = _mm256_add_epi32(_mm256_mullo_epi32(y0, vpitch), x0);
-    const __m256i bot = _mm256_add_epi32(top, vpitch);
-    // Vector-eligible: valid, contiguous 2x2 footprint, in-bounds dwords.
-    __m256i vec = _mm256_and_si256(
-        _mm256_cmpeq_epi32(x1, _mm256_add_epi32(x0, vone)),
-        _mm256_cmpeq_epi32(y1, _mm256_add_epi32(y0, vone)));
-    vec = _mm256_and_si256(vec, _mm256_cmpgt_epi32(vlim, bot));
-    vec = _mm256_and_si256(vec, valid);
+  const __m256i topw = _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
+  const __m256i botw = _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
+  const __m256i wx =
+      _mm256_or_si256(_mm256_sub_epi32(v256, ax), _mm256_slli_epi32(ax, 16));
+  const __m256i t0 = _mm256_madd_epi16(_mm256_shuffle_epi8(topw, spread), wx);
+  const __m256i t1 = _mm256_madd_epi16(_mm256_shuffle_epi8(botw, spread), wx);
+  __m256i acc =
+      _mm256_add_epi32(_mm256_mullo_epi32(t0, _mm256_sub_epi32(v256, ay)),
+                       _mm256_mullo_epi32(t1, ay));
+  acc = _mm256_srli_epi32(_mm256_add_epi32(acc, _mm256_set1_epi32(1 << 15)),
+                          16);
+  acc = _mm256_blendv_epi8(vfill, acc, valid);
 
-    const __m256i topw = _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
-    const __m256i botw = _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
-
-    const __m256i ax =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.ax + i));
-    const __m256i ay =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.ay + i));
-    const __m256i bx = _mm256_sub_epi32(v256, ax);
-    const __m256i by = _mm256_sub_epi32(v256, ay);
-    const __m256i p00 = _mm256_and_si256(topw, vff);
-    const __m256i p10 = _mm256_and_si256(_mm256_srli_epi32(topw, 8), vff);
-    const __m256i p01 = _mm256_and_si256(botw, vff);
-    const __m256i p11 = _mm256_and_si256(_mm256_srli_epi32(botw, 8), vff);
-    const __m256i t0 = _mm256_add_epi32(_mm256_mullo_epi32(p00, bx),
-                                        _mm256_mullo_epi32(p10, ax));
-    const __m256i t1 = _mm256_add_epi32(_mm256_mullo_epi32(p01, bx),
-                                        _mm256_mullo_epi32(p11, ax));
-    __m256i acc = _mm256_add_epi32(_mm256_mullo_epi32(t0, by),
-                                   _mm256_mullo_epi32(t1, ay));
-    acc = _mm256_srli_epi32(_mm256_add_epi32(acc, vhalf), 16);
-    acc = _mm256_blendv_epi8(vfill, acc, valid);
-
-    // 8 x int32 in 0..255 -> low 8 bytes.
-    const __m256i p16 = _mm256_packs_epi32(acc, acc);
-    const __m256i p8 = _mm256_packus_epi16(p16, p16);
-    const __m256i lanes = _mm256_permutevar8x32_epi32(p8, perm);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_castsi256_si128(lanes));
-
-    // Valid lanes the vector path skipped (clamped footprint or buffer
-    // tail): redo scalar — identical integer math, so no seam.
-    int fix = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_andnot_si256(vec, valid)));
-    while (fix != 0) {
-      const int j = __builtin_ctz(static_cast<unsigned>(fix));
-      fix &= fix - 1;
-      blend_one(s, i + j, base, static_cast<std::size_t>(pitch), 1,
-                out + i + j);
-    }
-  }
-  blend_span_scalar(s, i, n, base, static_cast<std::size_t>(pitch), 1, out,
-                    fill);
+  // 8 x int32 in 0..255 -> low 8 bytes.
+  const __m256i p16 = _mm256_packs_epi32(acc, acc);
+  const __m256i p8 = _mm256_packus_epi16(p16, p16);
+  const __m256i lanes = _mm256_permutevar8x32_epi32(p8, perm);
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                   _mm256_castsi256_si128(lanes));
 }
 
 /// One channel of the factored 8.8 blend for eight RGB lanes: byte `C` of
@@ -201,31 +203,162 @@ inline __m256i blend_channel(__m256i top0, __m256i top1, __m256i bot0,
   return _mm256_slli_epi32(acc, 8 * C);
 }
 
-/// AVX2 pass 2 for ch == 3 over scratch slots [0, n). Per tap row, one
-/// dword gather at x0*3 fetches (r, g, b) of the left tap and one at
-/// x0*3+3 those of the right tap, so a lane reads the 7 bytes
-/// [x0*3, x0*3+7) of each row. Each channel then runs the gray path's
-/// factored blend, and one pshufb packs the eight (r, g, b, 0) dwords into
-/// 24 output bytes.
-void blend_span_avx2_rgb(const SoaScratch& s, int n,
-                         const std::uint8_t* __restrict base, int pitch,
-                         int total, std::uint8_t* __restrict out,
-                         std::uint8_t fill) noexcept {
-  const __m256i vpitch = _mm256_set1_epi32(pitch);
+/// Eight RGB lanes whose top tap row starts at byte offset `top` (x0*3)
+/// and bottom row at `bot`. Per tap row, one dword gather at the offset
+/// fetches (r, g, b) of the left tap and one at offset+3 those of the
+/// right tap, so a lane reads the 7 bytes [x0*3, x0*3+7) of each row. Each
+/// channel then runs the factored blend, `fill` replaces lanes outside
+/// `valid`, and one pshufb packs the eight (r, g, b, 0) dwords into the 24
+/// bytes stored at `out`.
+inline void blend8_rgb(const int* ibase, __m256i top, __m256i bot,
+                       __m256i vec, __m256i valid, __m256i ax, __m256i ay,
+                       __m256i vfill, std::uint8_t* out) noexcept {
   const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vone = _mm256_set1_epi32(1);
   const __m256i vthree = _mm256_set1_epi32(3);
   const __m256i v256 = _mm256_set1_epi32(256);
-  const __m256i vfill = _mm256_set1_epi32(fill * 0x010101);
-  // bot + 7 <= total, i.e. bot < total - 6: lanes whose footprint ends in
-  // the buffer's last bytes take the fixup path.
-  const __m256i vlim = _mm256_set1_epi32(total - 6);
   // Per 128-bit lane: the (r, g, b) bytes of four dwords, then 4 spare.
   const __m256i pack3 = _mm256_setr_epi8(
       0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1,  //
       0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1);
   // Close the gap between the lanes: dwords 0-2 then 4-6 are 24 bytes.
   const __m256i join = _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 3, 7);
+
+  const __m256i top0 = _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
+  const __m256i top1 = _mm256_mask_i32gather_epi32(
+      vzero, ibase, _mm256_add_epi32(top, vthree), vec, 1);
+  const __m256i bot0 = _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
+  const __m256i bot1 = _mm256_mask_i32gather_epi32(
+      vzero, ibase, _mm256_add_epi32(bot, vthree), vec, 1);
+
+  const __m256i bx = _mm256_sub_epi32(v256, ax);
+  const __m256i by = _mm256_sub_epi32(v256, ay);
+  __m256i rgb = _mm256_or_si256(
+      blend_channel<0>(top0, top1, bot0, bot1, ax, bx, ay, by),
+      blend_channel<1>(top0, top1, bot0, bot1, ax, bx, ay, by));
+  rgb = _mm256_or_si256(
+      rgb, blend_channel<2>(top0, top1, bot0, bot1, ax, bx, ay, by));
+  rgb = _mm256_blendv_epi8(vfill, rgb, valid);
+
+  const __m256i bytes =
+      _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(rgb, pack3), join);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm256_castsi256_si128(bytes));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out + 16),
+                   _mm256_extracti128_si256(bytes, 1));
+}
+
+/// Lanes a dword read at byte offset `bot` can serve without running past
+/// a `total`-byte buffer: bot + 4 <= total for gray, bot + 7 <= total for
+/// RGB (whose second gather starts 3 bytes further). Near the bottom-right
+/// corner of a tight-pitch source the rest take the scalar fixup.
+template <int Ch>
+inline __m256i in_bounds_limit(int total) noexcept {
+  return _mm256_set1_epi32(total - (Ch == 1 ? 3 : 6));
+}
+
+/// Eight lanes of `Ch` channels (1 or 3) through the matching blend.
+template <int Ch>
+inline void blend8(const int* ibase, __m256i top, __m256i bot, __m256i vec,
+                   __m256i valid, __m256i ax, __m256i ay, __m256i vfill,
+                   std::uint8_t* out) noexcept {
+  if constexpr (Ch == 1) {
+    blend8_gray(ibase, top, bot, vec, valid, ax, ay, vfill, out);
+  } else {
+    blend8_rgb(ibase, top, bot, vec, valid, ax, ay, vfill, out);
+  }
+}
+
+/// The byte offset of tap column `x` in a row of `Ch`-channel pixels.
+template <int Ch>
+inline __m256i column_offset(__m256i x) noexcept {
+  if constexpr (Ch == 1) {
+    return x;
+  } else {
+    return _mm256_add_epi32(_mm256_add_epi32(x, x), x);
+  }
+}
+
+/// The fill byte replicated into each pixel's dword lane.
+template <int Ch>
+inline __m256i fill_lanes(std::uint8_t fill) noexcept {
+  return _mm256_set1_epi32(Ch == 1 ? fill : fill * 0x010101);
+}
+
+/// AVX2 float-LUT row for Ch == 1 or 3: pixels [0, n) of map entries
+/// mx/my into out, in one pass. `total` is the source buffer size in bytes
+/// (pitch * height), bounding the dword reads.
+template <int Ch>
+void float_row_avx2(const float* __restrict mx, const float* __restrict my,
+                    int n, float lim_x, float lim_y,
+                    const std::uint8_t* __restrict base, int pitch, int total,
+                    std::uint8_t fill, std::uint8_t* __restrict out) noexcept {
+  const __m256 vlim_x = _mm256_set1_ps(lim_x);
+  const __m256 vlim_y = _mm256_set1_ps(lim_y);
+  const __m256 vzero = _mm256_setzero_ps();
+  const __m256 v256 = _mm256_set1_ps(256.0f);
+  const __m256 vhalf = _mm256_set1_ps(0.5f);
+  const __m256i vpitch = _mm256_set1_epi32(pitch);
+  const __m256i vlim = in_bounds_limit<Ch>(total);
+  const __m256i vfill = fill_lanes<Ch>(fill);
+  const int* ibase = reinterpret_cast<const int*>(base);
+
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 sx = _mm256_loadu_ps(mx + i);
+    const __m256 sy = _mm256_loadu_ps(my + i);
+    const __m256 fx = _mm256_floor_ps(sx);
+    const __m256 fy = _mm256_floor_ps(sy);
+    // Ordered compares: NaN entries are invalid, as in the scalar form.
+    const __m256i valid = _mm256_castps_si256(_mm256_and_ps(
+        _mm256_and_ps(_mm256_cmp_ps(fx, vzero, _CMP_GE_OQ),
+                      _mm256_cmp_ps(fy, vzero, _CMP_GE_OQ)),
+        _mm256_and_ps(_mm256_cmp_ps(fx, vlim_x, _CMP_LT_OQ),
+                      _mm256_cmp_ps(fy, vlim_y, _CMP_LT_OQ))));
+    const __m256i ax = _mm256_cvttps_epi32(
+        _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(sx, fx), v256), vhalf));
+    const __m256i ay = _mm256_cvttps_epi32(
+        _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(sy, fy), v256), vhalf));
+    // Valid lanes have 0 <= x0 < w - 1 and 0 <= y0 < h - 1: the 2x2
+    // footprint is always contiguous, and only the buffer end can exclude
+    // a lane. Invalid lanes' offsets are garbage and never dereferenced.
+    const __m256i top = _mm256_add_epi32(
+        _mm256_mullo_epi32(_mm256_cvttps_epi32(fy), vpitch),
+        column_offset<Ch>(_mm256_cvttps_epi32(fx)));
+    const __m256i bot = _mm256_add_epi32(top, vpitch);
+    const __m256i vec = _mm256_and_si256(valid, _mm256_cmpgt_epi32(vlim, bot));
+
+    std::uint8_t* o = out + static_cast<std::size_t>(i) * Ch;
+    blend8<Ch>(ibase, top, bot, vec, valid, ax, ay, vfill, o);
+
+    // Valid lanes the vector path skipped: recompute from the map entry
+    // with the identical integer arithmetic, so no seam.
+    int fix = _mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_andnot_si256(vec, valid)));
+    while (fix != 0) {
+      const int j = __builtin_ctz(static_cast<unsigned>(fix));
+      fix &= fix - 1;
+      blend_float_one(mx[i + j], my[i + j], lim_x, lim_y, base,
+                      static_cast<std::size_t>(pitch), Ch, fill,
+                      o + static_cast<std::size_t>(j) * Ch);
+    }
+  }
+  float_row_scalar(mx + i, my + i, n - i, lim_x, lim_y, base,
+                   static_cast<std::size_t>(pitch), Ch, fill,
+                   out + static_cast<std::size_t>(i) * Ch);
+}
+
+/// AVX2 pass 2 for Ch == 1 or 3 over scratch slots [0, n). `total` is the
+/// source buffer size in bytes (pitch * height), bounding the dword reads.
+template <int Ch>
+void blend_span_avx2(const SoaScratch& s, int n,
+                     const std::uint8_t* __restrict base, int pitch,
+                     int total, std::uint8_t* __restrict out,
+                     std::uint8_t fill) noexcept {
+  const __m256i vpitch = _mm256_set1_epi32(pitch);
+  const __m256i vzero = _mm256_setzero_si256();
+  const __m256i vone = _mm256_set1_epi32(1);
+  const __m256i vlim = in_bounds_limit<Ch>(total);
+  const __m256i vfill = fill_lanes<Ch>(fill);
   const int* ibase = reinterpret_cast<const int*>(base);
 
   int i = 0;
@@ -242,58 +375,64 @@ void blend_span_avx2_rgb(const SoaScratch& s, int n,
         _mm256_load_si256(reinterpret_cast<const __m256i*>(s.valid + i)),
         vzero);
     const __m256i top = _mm256_add_epi32(_mm256_mullo_epi32(y0, vpitch),
-                                         _mm256_mullo_epi32(x0, vthree));
+                                         column_offset<Ch>(x0));
     const __m256i bot = _mm256_add_epi32(top, vpitch);
+    // Vector-eligible: valid, contiguous 2x2 footprint, in-bounds dwords.
     __m256i vec = _mm256_and_si256(
         _mm256_cmpeq_epi32(x1, _mm256_add_epi32(x0, vone)),
         _mm256_cmpeq_epi32(y1, _mm256_add_epi32(y0, vone)));
     vec = _mm256_and_si256(vec, _mm256_cmpgt_epi32(vlim, bot));
     vec = _mm256_and_si256(vec, valid);
 
-    const __m256i top0 =
-        _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
-    const __m256i top1 = _mm256_mask_i32gather_epi32(
-        vzero, ibase, _mm256_add_epi32(top, vthree), vec, 1);
-    const __m256i bot0 =
-        _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
-    const __m256i bot1 = _mm256_mask_i32gather_epi32(
-        vzero, ibase, _mm256_add_epi32(bot, vthree), vec, 1);
-
     const __m256i ax =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(s.ax + i));
     const __m256i ay =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(s.ay + i));
-    const __m256i bx = _mm256_sub_epi32(v256, ax);
-    const __m256i by = _mm256_sub_epi32(v256, ay);
-    __m256i rgb = _mm256_or_si256(
-        blend_channel<0>(top0, top1, bot0, bot1, ax, bx, ay, by),
-        blend_channel<1>(top0, top1, bot0, bot1, ax, bx, ay, by));
-    rgb = _mm256_or_si256(
-        rgb, blend_channel<2>(top0, top1, bot0, bot1, ax, bx, ay, by));
-    rgb = _mm256_blendv_epi8(vfill, rgb, valid);
+    std::uint8_t* o = out + static_cast<std::size_t>(i) * Ch;
+    blend8<Ch>(ibase, top, bot, vec, valid, ax, ay, vfill, o);
 
-    const __m256i bytes = _mm256_permutevar8x32_epi32(
-        _mm256_shuffle_epi8(rgb, pack3), join);
-    std::uint8_t* o = out + static_cast<std::size_t>(i) * 3;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o),
-                     _mm256_castsi256_si128(bytes));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(o + 16),
-                     _mm256_extracti128_si256(bytes, 1));
-
+    // Valid lanes the vector path skipped (clamped footprint or buffer
+    // tail): redo scalar — identical integer math, so no seam.
     int fix = _mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_andnot_si256(vec, valid)));
     while (fix != 0) {
       const int j = __builtin_ctz(static_cast<unsigned>(fix));
       fix &= fix - 1;
-      blend_one(s, i + j, base, static_cast<std::size_t>(pitch), 3,
-                o + static_cast<std::size_t>(j) * 3);
+      blend_one(s, i + j, base, static_cast<std::size_t>(pitch), Ch,
+                o + static_cast<std::size_t>(j) * Ch);
     }
   }
-  blend_span_scalar(s, i, n, base, static_cast<std::size_t>(pitch), 3, out,
+  blend_span_scalar(s, i, n, base, static_cast<std::size_t>(pitch), Ch, out,
                     fill);
 }
 
 #endif  // FISHEYE_HAVE_GATHER
+
+/// Float-LUT row dispatch: AVX2 when compiled in, the frame has one or
+/// three channels, and the byte offsets fit int32; scalar otherwise.
+inline void float_row(const float* __restrict mx, const float* __restrict my,
+                      int n, float lim_x, float lim_y,
+                      const std::uint8_t* __restrict base, std::size_t pitch,
+                      std::size_t total, int ch, std::uint8_t fill,
+                      std::uint8_t* __restrict out) noexcept {
+#if FISHEYE_HAVE_GATHER
+  if (offsets_fit_int32(total)) {
+    if (ch == 1) {
+      float_row_avx2<1>(mx, my, n, lim_x, lim_y, base, static_cast<int>(pitch),
+                        static_cast<int>(total), fill, out);
+      return;
+    }
+    if (ch == 3) {
+      float_row_avx2<3>(mx, my, n, lim_x, lim_y, base, static_cast<int>(pitch),
+                        static_cast<int>(total), fill, out);
+      return;
+    }
+  }
+#else
+  (void)total;
+#endif
+  float_row_scalar(mx, my, n, lim_x, lim_y, base, pitch, ch, fill, out);
+}
 
 /// Pass 2 dispatch for one strip: AVX2 when compiled in, the frame has
 /// one or three channels, and the byte offsets fit int32; scalar
@@ -304,15 +443,15 @@ inline void blend_strip(const SoaScratch& s, int n,
                         std::uint8_t* __restrict out,
                         std::uint8_t fill) noexcept {
 #if FISHEYE_HAVE_GATHER
-  if (total + 8 <= static_cast<std::size_t>(INT32_MAX)) {
+  if (offsets_fit_int32(total)) {
     if (ch == 1) {
-      blend_span_avx2(s, n, base, static_cast<int>(pitch),
-                      static_cast<int>(total), out, fill);
+      blend_span_avx2<1>(s, n, base, static_cast<int>(pitch),
+                         static_cast<int>(total), out, fill);
       return;
     }
     if (ch == 3) {
-      blend_span_avx2_rgb(s, n, base, static_cast<int>(pitch),
-                          static_cast<int>(total), out, fill);
+      blend_span_avx2<3>(s, n, base, static_cast<int>(pitch),
+                         static_cast<int>(total), out, fill);
       return;
     }
   }
@@ -369,54 +508,25 @@ inline void prefetch_strip_sources(const core::CompactMap& map,
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            const core::WarpMap& map, par::Rect rect,
-                           std::uint8_t fill, SoaScratch& scratch, int strip) {
+                           std::uint8_t fill, SoaScratch& /*scratch*/,
+                           int /*strip*/) {
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(rect.x0 >= 0 && rect.y0 >= 0 && rect.x1 <= dst.width &&
              rect.y1 <= dst.height);
 
-  SoaScratch& s = scratch;
-  const int len = clamp_strip(strip);
   const int ch = src.channels;
-  const auto src_w = static_cast<float>(src.width);
-  const auto src_h = static_cast<float>(src.height);
+  const float lim_x = static_cast<float>(src.width) - 1.0f;
+  const float lim_y = static_cast<float>(src.height) - 1.0f;
   const std::size_t pitch = src.pitch;
-  const std::size_t total =
-      pitch * static_cast<std::size_t>(src.height);
+  const std::size_t total = pitch * static_cast<std::size_t>(src.height);
+  const int n = rect.x1 - rect.x0;
 
   for (int y = rect.y0; y < rect.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
-    std::uint8_t* __restrict out_row = dst.row(y);
-
-    for (int xb = rect.x0; xb < rect.x1; xb += len) {
-      const int n = std::min(len, rect.x1 - xb);
-      const float* __restrict mx = map.src_x.data() + row + xb;
-      const float* __restrict my = map.src_y.data() + row + xb;
-
-      // Pass 1: tap coordinates + 8.8 weights, rounded to nearest so the
-      // quantization error stays under half a weight step (±1 contract).
-      for (int i = 0; i < n; ++i) {
-        const float sx = mx[i];
-        const float sy = my[i];
-        const float fx = std::floor(sx);
-        const float fy = std::floor(sy);
-        const std::int32_t ix = static_cast<std::int32_t>(fx);
-        const std::int32_t iy = static_cast<std::int32_t>(fy);
-        s.x0[i] = ix;
-        s.y0[i] = iy;
-        s.x1[i] = ix + 1;
-        s.y1[i] = iy + 1;
-        s.ax[i] = static_cast<std::int32_t>((sx - fx) * 256.0f + 0.5f);
-        s.ay[i] = static_cast<std::int32_t>((sy - fy) * 256.0f + 0.5f);
-        // Same interior-only validity as the SoA kernel.
-        s.valid[i] = (fx >= 0.0f) & (fy >= 0.0f) & (fx < src_w - 1.0f) &
-                     (fy < src_h - 1.0f);
-      }
-
-      std::uint8_t* __restrict out =
-          out_row + static_cast<std::size_t>(xb) * ch;
-      blend_strip(s, n, src.data, pitch, total, ch, out, fill);
-    }
+    const std::size_t at = static_cast<std::size_t>(y) * map.width + rect.x0;
+    float_row(map.src_x.data() + at, map.src_y.data() + at, n, lim_x, lim_y,
+              src.data, pitch, total, ch, fill,
+              dst.row(y) + static_cast<std::size_t>(rect.x0) * ch);
   }
 }
 

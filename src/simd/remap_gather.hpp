@@ -1,11 +1,17 @@
 // Explicit-intrinsics gather datapath (KernelVariant::SimdGather).
 //
-// The SoA kernels (remap_simd.hpp) leave pass 2 — the four taps per pixel —
-// to scalar loads; the study's hand-SIMDized ports replaced exactly that
-// with hardware gathers. These kernels keep the two-pass strip structure
-// and vectorize pass 2 with AVX2 `_mm256_i32gather_epi32`: one dword gather
-// per tap row fetches the (p0, p1) byte pair, and an 8.8 fixed-point weight
-// blend produces eight output pixels per iteration.
+// The SoA kernels (remap_simd.hpp) leave the four taps per pixel to scalar
+// loads; the study's hand-SIMDized ports replaced exactly that with
+// hardware gathers. These kernels fetch the taps with AVX2
+// `_mm256_i32gather_epi32`: one dword gather per tap row fetches the
+// (p0, p1) byte pair, and an 8.8 fixed-point weight blend produces eight
+// output pixels per iteration.
+//
+// The float-LUT kernel runs in one pass: per eight pixels it loads the
+// map entries and derives taps, weights and validity in registers, with
+// no intermediate buffer. The packed and compact kernels keep the
+// two-pass strip structure: pass 1 stages taps and weights in SoaScratch,
+// pass 2 gathers and blends from it.
 //
 // Contract vs the scalar kernels:
 //  * packed / compact: bit-exact (identical integer expressions, the same
@@ -14,13 +20,13 @@
 //    samples — the 8.8 weight quantization error is < 1 output level and
 //    both sides round half-up (tested property).
 //
-// Three-channel frames get their own AVX2 pass 2: two dword gathers per tap
-// row (at x0*3 and x0*3+3) fetch both taps' (r, g, b), each channel runs
-// the same factored blend, and a pshufb packs eight pixels into 24 bytes.
-// Lanes whose 2x2 footprint is not contiguous (edge-clamped taps) or whose
-// dword reads would overrun the buffer's last bytes take a scalar fixup
-// path; other channel counts run the integer blend scalar from the SoA
-// scratch.
+// Gray lanes run the blend's horizontal stage in 16 bits (pshufb + madd).
+// Three-channel frames get their own vector blend: two dword gathers per
+// tap row (at x0*3 and x0*3+3) fetch both taps' (r, g, b), each channel
+// runs the factored blend in 32 bits, and a pshufb packs eight pixels into
+// 24 bytes. Lanes whose 2x2 footprint is not contiguous (edge-clamped
+// taps) or whose dword reads would overrun the buffer's last bytes take a
+// scalar fixup path; other channel counts run the integer blend scalar.
 //
 // The compact kernel's pass 1 is shared with the SoA compact kernel
 // (compact_pass1.hpp): per grid cell, one vertical interpolation; per
@@ -33,7 +39,7 @@
 // This translation unit is compiled with -mavx2 when the toolchain allows
 // (src/simd/CMakeLists.txt); on other targets — or under
 // -DFISHEYE_DISABLE_AVX2=ON — the same entry points fall back to the scalar
-// pass-2 loop and gather_compiled() reports false. Callers do not need to
+// blend loops and gather_compiled() reports false. Callers do not need to
 // care: kernel resolution (core/kernel.cpp) consults gather_available()
 // and degrades SimdGather to SimdSoa/Scalar before these run.
 #pragma once
@@ -57,9 +63,9 @@ namespace fisheye::simd {
 [[nodiscard]] bool gather_available() noexcept;
 
 /// Bilinear remap of `rect` from a float WarpMap, constant-fill border,
-/// AVX2 gather pass 2. Agreement with the scalar kernel is ±1 level on
-/// interior samples (see header comment). `strip` pixels are staged per
-/// scratch refill; 0 selects kSoaStrip, larger values are clamped to it.
+/// single-pass AVX2 gather. Agreement with the scalar kernel is ±1 level on
+/// interior samples (see header comment). Nothing is staged: `scratch` and
+/// `strip` are unused, kept so every gather kernel shares one signature.
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            const core::WarpMap& map, par::Rect rect,

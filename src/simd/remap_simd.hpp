@@ -26,9 +26,10 @@ namespace fisheye::simd {
 /// two-pass split, short enough that the scratch arrays stay inside L1.
 inline constexpr int kSoaStrip = 256;
 
-/// SoA strip scratch shared by the SoA and gather kernels: one slot per
-/// strip pixel. The float kernels fill x0/y0 + weights; the integer-map
-/// kernels fill the clamped tap coordinates + the 0..256 integer weights.
+/// SoA strip scratch shared by the SoA and integer-map gather kernels: one
+/// slot per strip pixel. The float SoA kernel fills x0/y0 + weights; the
+/// integer-map kernels fill the clamped tap coordinates + the 0..256
+/// integer weights. The float gather kernel runs in one pass and uses none.
 /// Sized ~11 KB and never initialized, so a per-call stack copy costs
 /// nothing (stream and serve tiles use one); the pooled SIMD backend keeps
 /// one per lane in its plan's Workspace.

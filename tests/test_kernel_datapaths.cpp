@@ -6,19 +6,24 @@
 // Numerical contracts (simd/remap_gather.hpp): the packed and compact
 // gather kernels run the SAME integer arithmetic as their scalar
 // counterparts — bit-exact required; the float gather kernel quantizes
-// bilinear weights to 8.8 fixed point — within one 8-bit level of scalar.
-// All hold with or without AVX2 (the strip structure, not the ISA, defines
-// the arithmetic), so this suite runs unconditionally.
+// bilinear weights to 8.8 fixed point — within one 8-bit level of scalar,
+// and bit-exact against a per-pixel model of that 8.8 arithmetic. All hold
+// with or without AVX2 (the integer expressions, not the ISA, define the
+// arithmetic), so this suite runs unconditionally.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/autotune.hpp"
 #include "core/backend.hpp"
@@ -255,6 +260,123 @@ TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
   }
 }
 
+/// The float gather kernel's arithmetic written out per pixel: floor, 8.8
+/// weights (s - floor(s)) * 256 + 0.5 truncated, interior-only validity
+/// against w - 1 and h - 1, and the factored integer blend rounded
+/// half-up.
+void model_float_gather(const img::Image8& src, img::Image8& dst,
+                        const WarpMap& map, par::Rect rect,
+                        std::uint8_t fill) {
+  const int ch = src.channels();
+  const float lim_x = static_cast<float>(src.width()) - 1.0f;
+  const float lim_y = static_cast<float>(src.height()) - 1.0f;
+  for (int y = rect.y0; y < rect.y1; ++y) {
+    for (int x = rect.x0; x < rect.x1; ++x) {
+      const std::size_t at = static_cast<std::size_t>(y) * map.width + x;
+      const float sx = map.src_x[at];
+      const float sy = map.src_y[at];
+      const float fx = std::floor(sx);
+      const float fy = std::floor(sy);
+      std::uint8_t* o = dst.row(y) + static_cast<std::size_t>(x) * ch;
+      if (!(fx >= 0.0f && fy >= 0.0f && fx < lim_x && fy < lim_y)) {
+        for (int c = 0; c < ch; ++c) o[c] = fill;
+        continue;
+      }
+      const int ix = static_cast<int>(fx);
+      const int iy = static_cast<int>(fy);
+      const int ax = static_cast<int>((sx - fx) * 256.0f + 0.5f);
+      const int ay = static_cast<int>((sy - fy) * 256.0f + 0.5f);
+      const std::uint8_t* r0 = src.row(iy);
+      const std::uint8_t* r1 = src.row(iy + 1);
+      for (int c = 0; c < ch; ++c) {
+        const int l = ix * ch + c;
+        const int t0 = (256 - ax) * r0[l] + ax * r0[l + ch];
+        const int t1 = (256 - ax) * r1[l] + ax * r1[l + ch];
+        o[c] = static_cast<std::uint8_t>(
+            ((256 - ay) * t0 + ay * t1 + (1 << 15)) >> 16);
+      }
+    }
+  }
+}
+
+TEST(GatherKernel, FloatMatchesIntegerBlendBitExact) {
+  // Source and output sizes that are not multiples of 8, rects whose ends
+  // are not either, and map entries that hit every validity edge: the
+  // vector loop, its buffer-end fixup and the scalar tail must all agree
+  // with the model. The source sits in a GuardedImage, so a dword read
+  // past its last byte faults.
+  const int sw = 101, sh = 37;
+  const int w = 133, h = 29;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float below_w = std::nextafter(static_cast<float>(sw - 1), 0.0f);
+  const float below_h = std::nextafter(static_cast<float>(sh - 1), 0.0f);
+  const float specials_x[] = {nan,    inf,        -inf,      3e9f,
+                              -3e9f,  -0.25f,     -1.0f,     -1e-7f,
+                              0.0f,   sw - 1.0f,  below_w,   sw - 2.0f,
+                              sw - 2.5f, sw - 1.5f};
+  const float specials_y[] = {nan,    inf,        -inf,      3e9f,
+                              -3e9f,  -0.25f,     -1.0f,     -1e-7f,
+                              0.0f,   sh - 1.0f,  below_h,   sh - 2.0f,
+                              sh - 2.5f, sh - 1.5f};
+  constexpr int kSpecials = sizeof(specials_x) / sizeof(specials_x[0]);
+
+  util::Rng rng(71);
+  WarpMap map;
+  map.width = w;
+  map.height = h;
+  map.src_x.resize(map.pixel_count());
+  map.src_y.resize(map.pixel_count());
+  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
+    switch (rng.next_below(4)) {
+      case 0:  // anywhere, edges and outside included
+        map.src_x[i] = static_cast<float>(rng.uniform(-3.0, sw + 2.0));
+        map.src_y[i] = static_cast<float>(rng.uniform(-3.0, sh + 2.0));
+        break;
+      case 1:  // the bottom-right footprints whose reads end the buffer
+        map.src_x[i] = static_cast<float>(rng.uniform(sw - 3.0, sw - 1.0));
+        map.src_y[i] = static_cast<float>(rng.uniform(sh - 2.0, sh - 1.0));
+        break;
+      case 2:  // special values, mixed per axis
+        map.src_x[i] = specials_x[rng.next_below(kSpecials)];
+        map.src_y[i] = specials_y[rng.next_below(kSpecials)];
+        break;
+      default:  // interior
+        map.src_x[i] = static_cast<float>(rng.uniform(0.0, sw - 1.0));
+        map.src_y[i] = static_cast<float>(rng.uniform(0.0, sh - 1.0));
+    }
+  }
+
+  simd::SoaScratch scratch;
+  for (const int ch : {1, 3}) {
+    const img::Image8 src = random_image(sw, sh, ch, 72 + ch);
+    const GuardedImage gsrc(src);
+    std::vector<par::Rect> rects{{0, 0, w, h}};
+    for (int trial = 0; trial < 12; ++trial) {
+      // x0 and x1 off the 8-pixel grid; some rects narrower than 8.
+      const int x0 = 8 * static_cast<int>(rng.next_below(w / 8)) + 1 +
+                     static_cast<int>(rng.next_below(7));
+      const int x1 =
+          std::min(w, x0 + 1 + static_cast<int>(rng.next_below(w - x0)));
+      const int y0 = static_cast<int>(rng.next_below(h));
+      const int y1 = y0 + 1 + static_cast<int>(rng.next_below(h - y0));
+      rects.push_back({x0, y0, x1, y1});
+    }
+    for (const par::Rect& rect : rects) {
+      const auto fill = static_cast<std::uint8_t>(rng.next_below(256));
+      img::Image8 want(w, h, ch), got(w, h, ch);
+      want.fill(17);
+      got.fill(17);
+      model_float_gather(src, want, map, rect, fill);
+      simd::remap_bilinear_gather(gsrc.view(), got.view(), map, rect, fill,
+                                  scratch);
+      EXPECT_TRUE(img::equal_pixels<std::uint8_t>(want.view(), got.view()))
+          << "ch=" << ch << " rect=(" << rect.x0 << ',' << rect.y0 << ','
+          << rect.x1 << ',' << rect.y1 << ')';
+    }
+  }
+}
+
 TEST(GatherKernel, StripLengthDoesNotChangeResults) {
   const int w = 200, h = 48;
   const img::Image8 src = random_image(w, h, 1, 61);
@@ -359,6 +481,30 @@ TEST(Datapath, ExplicitTunedTokenRoundTrips) {
       << backend->name();
   const auto again = BackendRegistry::create(backend->name());
   EXPECT_EQ(again->name(), backend->name());
+}
+
+TEST(Datapath, FloatLutCandidatesHaveNoDuplicateGatherPoints) {
+  // The float-LUT gather kernel has no strip: tuned=auto measures it once.
+  // Converted maps keep the strip axis, and no two candidates coincide.
+  Frame f;
+  for (const char* spec :
+       {"cpu:tiles,datapath=gather", "simd:threads=1,map=packed"}) {
+    const auto backend = BackendRegistry::create(spec);
+    const auto& cpu = dynamic_cast<const CpuBackend&>(*backend);
+    const std::vector<AutotuneCandidate> cands =
+        cpu.autotune_candidates(f.ctx());
+    std::set<std::string> tokens;
+    int gather_strips = 0;
+    for (const AutotuneCandidate& c : cands) {
+      EXPECT_TRUE(tokens.insert(c.spec.token()).second)
+          << spec << ": duplicate " << c.spec.token();
+      if (c.spec.datapath == KernelVariant::SimdGather && !c.spec.map)
+        ++gather_strips;
+    }
+    const bool float_lut = std::string(spec).find("map=") == std::string::npos;
+    const int want = !simd::gather_available() ? 0 : float_lut ? 1 : 2;
+    EXPECT_EQ(gather_strips, want) << spec;
+  }
 }
 
 TEST(Datapath, TunedAutoResolvesOncePlansAndRoundTrips) {
