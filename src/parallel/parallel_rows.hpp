@@ -1,10 +1,18 @@
 // Row-parallel loop for one-shot set-up passes (map builds, LUT packing).
 //
 // Unlike parallel_for there is no pool: a call starts short-lived
-// std::thread workers, the calling thread works too, and every worker is
-// joined before the call returns. Set-up runs once per plan, so thread
-// start-up (tens of microseconds) is noise next to a 1080p map build, and
-// nothing lingers between plans.
+// std::thread workers, each pinned to its own CPU by the placement rule
+// (parallel/placement.hpp), and joins every one before it returns. Set-up
+// runs once per plan, so thread start-up (tens of microseconds) is noise
+// next to a 1080p map build, and nothing lingers between plans.
+//
+// The calling thread waits rather than claiming bands itself. A working
+// caller writes its per-pixel temporaries to its own stack just below the
+// frames holding what every worker reads per pixel (the body's captures,
+// the map being built); when the two land on one cache line, the line
+// bounces between cores on every pixel. On a 4-CPU host that made whole
+// passes of a 720p map build 2.5-3.5x slower, decided only by where the
+// caller's stack happened to start.
 //
 // Workers claim bands of whole rows from an atomic cursor. A pass whose
 // body writes each row from that row's inputs alone therefore produces the
@@ -22,11 +30,7 @@
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "parallel/placement.hpp"
 
 namespace fisheye::par {
 
@@ -38,38 +42,6 @@ inline constexpr std::size_t kMinRowWorkerPixels = std::size_t{1} << 16;
 /// Pixels per claimed band: small enough to balance a 1080p pass across
 /// any core count, large enough that the cursor is touched rarely.
 inline constexpr std::size_t kRowBandPixels = 4096;
-
-namespace detail {
-
-/// The CPUs the calling thread may run on, listed cyclically from the one
-/// after the CPU it is running on now (empty where affinity is unknown).
-inline std::vector<int> cpus_after_current() {
-  std::vector<int> cpus;
-#if defined(__linux__)
-  cpu_set_t allowed;
-  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return cpus;
-  const int here = sched_getcpu();
-  for (int i = 1; i <= CPU_SETSIZE; ++i) {
-    const int cpu = (here + i) % CPU_SETSIZE;
-    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
-  }
-#endif
-  return cpus;
-}
-
-/// Pin the calling thread to `cpu` (best effort; a no-op off Linux).
-inline void pin_self(int cpu) noexcept {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof set, &set);
-#else
-  (void)cpu;
-#endif
-}
-
-}  // namespace detail
 
 /// Workers parallel_rows uses for a rows × cols pass when the caller does
 /// not pick a count: the host's hardware threads, capped so each worker
@@ -115,29 +87,21 @@ void parallel_rows(std::size_t rows, std::size_t cols, const Body& body,
     }
   };
 
-  // Each helper pins itself to a different CPU than the caller's. A new
-  // thread starts on its creator's CPU, and a scheduler that sees the other
-  // CPUs as unavailable (a KVM guest whose idle vCPUs the host has
-  // preempted) can leave it there for the whole pass, time-slicing every
-  // worker on one CPU. The pin lasts only as long as the helper; should a
-  // pinned CPU be busy, the band cursor lets the other workers take up
-  // its share.
-  const std::vector<int> cpus = detail::cpus_after_current();
-  std::vector<std::thread> helpers;
-  helpers.reserve(n - 1);
+  const std::vector<int> cpus = claim_cpus(n);
+  std::vector<std::thread> threads;
+  threads.reserve(n);
   try {
-    for (std::size_t i = 1; i < n; ++i)
-      helpers.emplace_back([&work, &cpus, i] {
-        if (!cpus.empty()) detail::pin_self(cpus[(i - 1) % cpus.size()]);
+    for (std::size_t i = 0; i < n; ++i)
+      threads.emplace_back([&work, &cpus, i] {
+        if (!cpus.empty()) pin_self(cpus[i]);
         work();
       });
   } catch (...) {
     // Starting a thread failed (std::system_error or std::bad_alloc): the
-    // helpers already started plus the caller still drain every band, and
-    // every started helper is joined below.
+    // workers already started still drain every band, and are joined below.
   }
-  work();
-  for (std::thread& t : helpers) t.join();
+  if (threads.empty()) work();  // none started: run the pass here
+  for (std::thread& t : threads) t.join();
   errors.rethrow_if_set();
 }
 

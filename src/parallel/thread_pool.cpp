@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "parallel/placement.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
@@ -10,9 +11,18 @@ namespace fisheye::par {
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = util::cpu_info().hardware_threads;
   FE_EXPECTS(threads >= 1 && threads <= 1024);
+  // Each worker pins itself to its own CPU for the pool's lifetime (the
+  // rule in parallel/placement.hpp): lanes sleep between bursts, and an
+  // unpinned lane is placed afresh on every wake-up.
+  const std::vector<int> cpus = claim_cpus(threads);
   workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+  for (unsigned i = 0; i < threads; ++i) {
+    const int cpu = cpus.empty() ? -1 : cpus[i];
+    workers_.emplace_back([this, cpu] {
+      pin_self(cpu);
+      worker_loop();
+    });
+  }
 }
 
 ThreadPool::~ThreadPool() {

@@ -24,7 +24,9 @@ namespace fisheye::par {
 
 class ThreadPool {
  public:
-  /// Create `threads` workers. 0 means std::thread::hardware_concurrency().
+  /// Create `threads` workers, each pinned to its own CPU for the pool's
+  /// lifetime (parallel/placement.hpp). 0 means
+  /// std::thread::hardware_concurrency().
   explicit ThreadPool(unsigned threads = 0);
 
   /// Drains outstanding work, then joins all workers.

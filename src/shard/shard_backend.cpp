@@ -11,6 +11,7 @@
 #include "core/backend_registry.hpp"
 #include "core/kernel.hpp"
 #include "parallel/partition.hpp"
+#include "parallel/placement.hpp"
 #include "runtime/timer.hpp"
 #include "shard/shard_ring.hpp"
 #include "util/error.hpp"
@@ -68,7 +69,8 @@ class WorkerFleet {
                                 ectx.dst.width, ectx.dst.height,
                                 ectx.src.channels},
             opts.ring, static_cast<int>(strips_.size()))),
-        procs_(strips_.size()) {
+        procs_(strips_.size()),
+        cpus_(par::claim_cpus(strips_.size())) {
     for (std::size_t s = 0; s < strips_.size(); ++s)
       spawn(static_cast<int>(s), /*epoch=*/1);
     monitor_ = std::thread([this] { monitor_loop(); });
@@ -289,6 +291,9 @@ class WorkerFleet {
       if (n < 0 && errno == EINTR) continue;
       _exit(1);
     }
+    // Pinned for the process's lifetime: the worker sleeps on the doorbell
+    // between frames and would otherwise be placed afresh on every wake.
+    if (!cpus_.empty()) par::pin_self(cpus_[assign.shard]);
     const par::Rect strip = strips_[assign.shard];
     const int hb_ms = static_cast<int>(assign.heartbeat_ms);
     RingHeader& hdr = ring_->header();
@@ -419,6 +424,10 @@ class WorkerFleet {
   core::ResolvedKernel kernel_;
   std::unique_ptr<FrameRing> ring_;
   std::vector<WorkerProc> procs_;
+  /// Shard i's CPU under the placement rule, claimed once in the
+  /// supervisor so that a respawned worker returns to the same CPU (empty
+  /// where affinity is unknown).
+  std::vector<int> cpus_;
   rt::Stopwatch clock_;
   std::uint64_t next_seq_ = 0;
 

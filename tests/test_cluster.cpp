@@ -2,6 +2,8 @@
 // accounting, network-model shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/cluster_sim.hpp"
 #include "core/corrector.hpp"
 #include "image/metrics.hpp"
@@ -105,12 +107,18 @@ TEST(Cluster, SlowNodesScaleComputeTime) {
   normal.ranks = half.ranks = 2;
   half.node_speed = 0.5;
   ClusterSimBackend nb(normal), hb(half);
-  e.corr.correct(e.src.view(), out.view(), nb);
-  e.corr.correct(e.src.view(), out.view(), hb);
-  // Half-speed nodes roughly double the compute share (timing noise on a
-  // busy host allows generous bounds).
-  EXPECT_GT(hb.last_stats().compute_seconds,
-            1.4 * nb.last_stats().compute_seconds);
+  // Half-speed nodes double the modelled compute share. Both configs time
+  // the same rank work in alternation and each keeps its fastest frame:
+  // a preempted frame only ever reads slower, so one busy moment on the
+  // host cannot flip the comparison.
+  double normal_s = 1e30, half_s = 1e30;
+  for (int pair = 0; pair < 15; ++pair) {
+    e.corr.correct(e.src.view(), out.view(), nb);
+    e.corr.correct(e.src.view(), out.view(), hb);
+    normal_s = std::min(normal_s, nb.last_stats().compute_seconds);
+    half_s = std::min(half_s, hb.last_stats().compute_seconds);
+  }
+  EXPECT_GT(half_s, 1.4 * normal_s);
 }
 
 TEST(Cluster, StatsAreConsistent) {

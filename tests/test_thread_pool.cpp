@@ -1,17 +1,27 @@
 // ThreadPool behaviour: completion, idle waiting, indexed dispatch,
-// shutdown, and a stress run.
+// shutdown, a stress run, and thread placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "parallel/parallel_rows.hpp"
+#include "parallel/placement.hpp"
 #include "parallel/sync.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace fisheye::par {
 namespace {
@@ -139,6 +149,158 @@ TEST(ThreadPoolStress, ManySmallBatches) {
   // 20 * sum(0..256) = 20 * 257*256/2
   EXPECT_EQ(sum.load(), 20LL * 257 * 256 / 2);
 }
+
+#if defined(__linux__)
+
+// Placement tests read each thread's affinity mask rather than timing
+// sched_getcpu(): the mask is what the pool set, whatever the scheduler
+// did with it since.
+
+/// The CPUs in the calling thread's affinity mask, ascending.
+std::vector<int> own_mask() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  pthread_getaffinity_np(pthread_self(), sizeof set, &set);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  return cpus;
+}
+
+/// The masks of `n` distinct workers of `pool`: n tasks meet at a latch,
+/// so no worker can run two of them.
+std::vector<std::vector<int>> worker_masks(ThreadPool& pool, unsigned n) {
+  std::latch met(n);
+  std::vector<std::vector<int>> masks(n);
+  for (unsigned i = 0; i < n; ++i)
+    pool.submit([&met, &masks, i] {
+      masks[i] = own_mask();
+      met.arrive_and_wait();
+    });
+  pool.wait_idle();
+  return masks;
+}
+
+/// Restricts the calling thread's mask to `cpus` until destroyed. Run on
+/// the test's main thread, whose mask is the process's allowed set.
+class ScopedMask {
+ public:
+  explicit ScopedMask(const std::vector<int>& cpus) {
+    pthread_getaffinity_np(pthread_self(), sizeof saved_, &saved_);
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (const int cpu : cpus) CPU_SET(cpu, &set);
+    pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+  }
+  ~ScopedMask() {
+    pthread_setaffinity_np(pthread_self(), sizeof saved_, &saved_);
+  }
+  ScopedMask(const ScopedMask&) = delete;
+  ScopedMask& operator=(const ScopedMask&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+bool contains(const std::vector<int>& cpus, int cpu) {
+  return std::find(cpus.begin(), cpus.end(), cpu) != cpus.end();
+}
+
+TEST(Placement, EachWorkerHasItsOwnCpu) {
+  const std::vector<int> allowed = allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  const unsigned n =
+      static_cast<unsigned>(std::min<std::size_t>(4, allowed.size()));
+  ThreadPool pool(n);
+  std::set<int> used;
+  for (const std::vector<int>& mask : worker_masks(pool, n)) {
+    ASSERT_EQ(mask.size(), 1u);
+    EXPECT_TRUE(contains(allowed, mask[0])) << mask[0];
+    used.insert(mask[0]);
+  }
+  EXPECT_EQ(used.size(), n);
+}
+
+TEST(Placement, WorkersStayInsideARestrictedMask) {
+  const std::vector<int> allowed = allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  // The first and last allowed CPUs (one CPU under a one-CPU mask); a
+  // 4-thread pool wraps round them.
+  const std::vector<int> narrow = {allowed.front(), allowed.back()};
+  std::vector<std::vector<int>> masks;
+  {
+    const ScopedMask restrict_to(narrow);
+    ThreadPool pool(4);
+    masks = worker_masks(pool, 4);
+  }
+  for (const std::vector<int>& mask : masks) {
+    ASSERT_EQ(mask.size(), 1u);
+    EXPECT_TRUE(contains(narrow, mask[0])) << mask[0];
+  }
+  EXPECT_EQ(allowed_cpus(), allowed);  // restored
+}
+
+TEST(Placement, ConcurrentSmallPoolsDoNotShareCpus) {
+  if (allowed_cpus().size() < 4) GTEST_SKIP() << "needs 4 allowed CPUs";
+  ThreadPool a(2);
+  ThreadPool b(2);
+  std::set<int> used;
+  for (ThreadPool* pool : {&a, &b})
+    for (const std::vector<int>& mask : worker_masks(*pool, 2)) {
+      ASSERT_EQ(mask.size(), 1u);
+      used.insert(mask[0]);
+    }
+  EXPECT_EQ(used.size(), 4u);
+}
+
+TEST(Placement, ParallelRowsInsideAPinnedLaneSpreadsItsWorkers) {
+  const std::vector<int> allowed = allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  // A pass of k workers from a lane pinned to one CPU: the workers must
+  // take their CPUs from the process's allowed set, not inherit the lane's
+  // one-CPU mask. The lane itself only waits.
+  const std::size_t k = std::clamp<std::size_t>(allowed.size(), 2, 3);
+  ThreadPool pool(1);
+  std::vector<int> lane;
+  std::map<std::thread::id, std::vector<int>> workers;
+  bool lane_ran_a_band = false;
+  pool.submit([&] {
+    lane = own_mask();
+    const std::thread::id lane_id = std::this_thread::get_id();
+    // 16 one-row bands; each worker's first band waits for the others, so
+    // every worker runs at least one.
+    std::mutex mu;
+    std::latch met(static_cast<std::ptrdiff_t>(k));
+    parallel_rows(
+        16, kRowBandPixels,
+        [&](std::size_t, std::size_t) {
+          const std::thread::id id = std::this_thread::get_id();
+          {
+            const std::scoped_lock lock(mu);
+            if (id == lane_id) lane_ran_a_band = true;
+            if (!workers.emplace(id, own_mask()).second) return;
+          }
+          met.arrive_and_wait();
+        },
+        static_cast<unsigned>(k));
+  });
+  pool.wait_idle();
+  ASSERT_EQ(lane.size(), 1u);
+  EXPECT_FALSE(lane_ran_a_band);
+  ASSERT_EQ(workers.size(), k);
+  std::set<int> used;
+  for (const auto& [id, mask] : workers) {
+    ASSERT_EQ(mask.size(), 1u);
+    EXPECT_TRUE(contains(allowed, mask[0])) << mask[0];
+    used.insert(mask[0]);
+  }
+  // Not stacked on the lane's CPU: one CPU each while they fit.
+  if (k <= allowed.size()) {
+    EXPECT_EQ(used.size(), k);
+  }
+}
+
+#endif  // __linux__
 
 }  // namespace
 }  // namespace fisheye::par
