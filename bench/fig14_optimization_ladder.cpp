@@ -13,6 +13,7 @@
 #include "accel/accel_backend.hpp"
 
 #include "core/kernel.hpp"
+#include "simd/remap_gather.hpp"
 #include "util/cpu.hpp"
 
 #include "bench_common.hpp"
@@ -81,8 +82,9 @@ int main(int argc, char** argv) {
   cpu.print(std::cout, "F14a: CPU ladder (measured)");
 
   // --- Datapath ladder at 1080p ---
-  // The explicit-intrinsics rung on top of the SoA restructuring: AVX2
-  // gather taps + 8.8 fixed-point blend, then the plan-time autotuner
+  // The explicit-intrinsics rung on top of the SoA restructuring: gather
+  // taps (AVX2, or AVX-512 for gray on hosts that have it) + 8.8
+  // fixed-point blend, then the plan-time autotuner
   // picking across (datapath, strip, map) on this host. The datapath and
   // isa columns land in the JSON mirror so BENCH_* artifacts record which
   // kernel produced each number.
@@ -100,9 +102,13 @@ int main(int argc, char** argv) {
       const char* step;
       const char* spec;
     };
+    // The gather rung is labelled with the vector body that runs here.
+    const bool wide = simd::gather_available() &&
+                      simd::gather_body(1) == simd::GatherBody::Avx512;
     const Rung rungs[3] = {
         {"simd (SoA)", "simd:threads=1,datapath=soa"},
-        {"+ AVX2 gather", "simd:threads=1,datapath=gather"},
+        {wide ? "+ AVX-512 gather" : "+ AVX2 gather",
+         "simd:threads=1,datapath=gather"},
         {"+ autotuned plan", "simd:threads=1,tuned=auto"}};
     std::unique_ptr<core::Backend> backends[3];
     core::Corrector::Prepared prepared[3];
@@ -138,6 +144,78 @@ int main(int argc, char** argv) {
     }
     dp.print(std::cout,
              "F14c: datapath ladder at 1080p, alternated frames (measured)");
+  }
+
+  // --- Gather body pair at 1080p ---
+  // The AVX2 and AVX-512 bodies of the gray gather kernels, called
+  // directly (a plan always runs the widest body the host has) on the
+  // float LUT (one-pass row) and the packed LUT (pass 2). Frames alternate
+  // between the bodies, each pair in swapped order, so both see the same
+  // host load; "vs avx2" is the median of the per-pair ratios. Printed
+  // after the gated F14c table.
+  if (simd::gather_available() &&
+      simd::gather_body(1) == simd::GatherBody::Avx512) {
+    const int dw = 1920, dh = 1080;
+    const img::Image8 gsrc = bench::make_input(dw, dh);
+    const core::Corrector fcorr = core::Corrector::builder(dw, dh).build();
+    const core::Corrector pcorr = core::Corrector::builder(dw, dh)
+                                      .map_mode(core::MapMode::PackedLut)
+                                      .build();
+    const simd::GatherBody bodies[2] = {simd::GatherBody::Avx2,
+                                        simd::GatherBody::Avx512};
+    const char* maps[2] = {"1080p gray float LUT", "1080p gray packed LUT"};
+    const par::Rect all{0, 0, dw, dh};
+    simd::SoaScratch scratch;
+    util::Table pair({"step", "body", "isa", "ms/frame", "fps", "vs avx2",
+                      "bit-exact"});
+    for (int m = 0; m < 2; ++m) {
+      img::Image8 outs[2] = {img::Image8(dw, dh, 1), img::Image8(dw, dh, 1)};
+      const auto frame = [&](int k) {
+        if (m == 0) {
+          simd::detail::remap_bilinear_gather(bodies[k], gsrc.view(),
+                                              outs[k].view(), *fcorr.map(),
+                                              all, 0, scratch);
+        } else {
+          simd::detail::remap_packed_gather(bodies[k], gsrc.view(),
+                                            outs[k].view(), *pcorr.packed(),
+                                            all, 0, scratch);
+        }
+      };
+      for (int k = 0; k < 2; ++k) frame(k);  // warm-up
+      const int pairs = bench::quick() ? 7 : 41;
+      std::vector<double> secs[2], ratio;
+      for (int p = 0; p < pairs; ++p) {
+        double t[2];
+        for (int j = 0; j < 2; ++j) {
+          const int k = (p + j) % 2;
+          const rt::Stopwatch sw;
+          frame(k);
+          t[k] = sw.elapsed_seconds();
+          secs[k].push_back(t[k]);
+        }
+        ratio.push_back(t[0] / t[1]);
+      }
+      const bool exact =
+          img::equal_pixels<std::uint8_t>(outs[0].view(), outs[1].view());
+      for (int k = 0; k < 2; ++k) {
+        const double s = median(secs[k]);
+        pair.row()
+            .add(k == 0 ? std::string(maps[m]) + ", AVX2 gather"
+                        : std::string("+ AVX-512 gather"))
+            .add(simd::gather_body_name(bodies[k]))
+            .add(util::cpu_info().isa())
+            .add(s * 1e3, 2)
+            .add(rt::fps_from_seconds(s), 1)
+            .add(k == 0 ? 1.0 : median(ratio), 2)
+            .add(exact ? "yes" : "NO");
+      }
+    }
+    pair.print(std::cout,
+               "F14c (gather body pair): 1080p gray, AVX2 vs AVX-512 body, "
+               "1 thread, alternated frames (measured)");
+  } else {
+    std::cout << "F14c (gather body pair): skipped, no AVX-512BW gather "
+                 "body on this build or CPU\n";
   }
 
   // --- Datapath pair on an RGB compact frame ---

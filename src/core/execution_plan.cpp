@@ -5,6 +5,7 @@
 
 #include "core/camera.hpp"
 #include "core/projection.hpp"
+#include "simd/remap_gather.hpp"
 #include "simd/remap_simd.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
@@ -84,6 +85,10 @@ std::string ExecutionPlan::describe() const {
     os << ", kernel " << map_mode_name(kernel_.key().mode) << " x "
        << interp_name(kernel_.key().interp) << " x "
        << variant_name(kernel_.key().variant);
+  // Gather plans also name the vector body their frames run on this host.
+  if (kernel_.valid() && kernel_.key().variant == KernelVariant::SimdGather)
+    os << '[' << simd::gather_body_name(simd::gather_body(key_.channels))
+       << ']';
   os << ", isa=" << util::cpu_info().isa();
   if (!key_.lens.empty()) os << ", lens=" << key_.lens;
   if (!key_.view.empty()) os << ", view=" << key_.view;

@@ -100,7 +100,7 @@ void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
   }
 }
 
-// --- AVX2 gather kernels (constant border only) -------------------------
+// --- gather kernels (constant border only; AVX2 or AVX-512 body) -------
 
 void k_gather_float_bilinear(const KernelBinding& b, const TileArgs& a) {
   if (a.scratch != nullptr) {

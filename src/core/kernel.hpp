@@ -63,7 +63,8 @@ enum class PixelLayout : std::uint8_t {
 enum class KernelVariant : std::uint8_t {
   Scalar,      ///< portable per-pixel kernels (core/remap.cpp)
   SimdSoa,     ///< two-pass SoA strip kernels (simd/remap_simd.cpp)
-  SimdGather,  ///< AVX2 hardware-gather taps (simd/remap_gather.cpp)
+  SimdGather,  ///< hardware-gather taps (simd/remap_gather.cpp): AVX2, or
+               ///< AVX-512BW for gray frames where simd::gather_body() says
 };
 
 [[nodiscard]] constexpr const char* variant_name(KernelVariant v) noexcept {

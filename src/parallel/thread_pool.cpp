@@ -61,6 +61,17 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+void ThreadPool::lanes_done(std::size_t& pending, std::size_t k) {
+  const std::scoped_lock lock(mu_);
+  pending -= k;
+  if (pending == 0) cv_lanes_.notify_all();
+}
+
+void ThreadPool::wait_lanes(const std::size_t& pending) {
+  std::unique_lock lock(mu_);
+  cv_lanes_.wait(lock, [&pending] { return pending == 0; });
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -1,17 +1,16 @@
-// AVX2 gather datapath — see remap_gather.hpp for the contract.
+// Gather datapath — see remap_gather.hpp for the contract.
 //
-// Float LUT: one pass, no staging. Per eight output pixels the kernel
-// loads eight src_x/src_y floats and derives floor, tap offset, 8.8
-// weights and interior validity in registers, then gathers and blends.
+// Float LUT: one pass, no staging. Per step the kernel loads the step's
+// src_x/src_y floats and derives floor, tap offset, 8.8 weights and
+// interior validity in registers, then gathers and blends.
 //
 // Packed and compact maps: pass 1 fills the shared SoaScratch with tap
 // coordinates and 0..256 integer weights (the two integer representations
-// reduce to the same scratch layout); pass 2 reads it back eight pixels at
-// a time.
+// reduce to the same scratch layout); pass 2 reads it back one step at a
+// time.
 //
-// Every vector blend issues two masked dword gathers per eight lanes and
-// tap row, fetching the (x0, x0+1) byte pair, and evaluates the factored
-// 8.8 blend
+// Every vector blend issues two masked dword gathers per step and tap row,
+// fetching the (x0, x0+1) byte pair, and evaluates the factored 8.8 blend
 //   v = (256-ay) * ((256-ax) p00 + ax p10) + ay * ((256-ax) p01 + ax p11)
 // in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up and packs to
 // bytes. Gray lanes run the horizontal stage in 16 bits (a pshufb spreads
@@ -20,6 +19,15 @@
 // excluded from the vector path — invalid samples, edge-clamped
 // footprints, dword reads that would overrun the buffer's last bytes — are
 // finished by a scalar fixup with the same integer arithmetic.
+//
+// Two vector bodies run that arithmetic. The AVX2 body (the TU's -mavx2)
+// takes eight lanes per step and every frame with one or three channels.
+// The AVX-512BW body takes sixteen gray lanes per step with the identical
+// expressions, so its output is bit-identical; row tails under sixteen
+// pixels run as one masked step. Its functions carry their own
+// target("avx512f,avx512bw") attribute and internal linkage, so the TU's
+// shared inlines stay AVX2 code and nothing AVX-512 runs unless
+// gather_body() selected it.
 #include "simd/remap_gather.hpp"
 
 #include <algorithm>
@@ -36,12 +44,29 @@
 #define FISHEYE_HAVE_GATHER 0
 #endif
 
+// The 16-lane body rides on the AVX2 build; a baseline compiled with
+// -mno-avx512f opts out of it (src/simd/CMakeLists.txt).
+#if FISHEYE_HAVE_GATHER && !defined(FISHEYE_NO_AVX512)
+#define FISHEYE_HAVE_GATHER512 1
+#define FISHEYE_AVX512 __attribute__((target("avx512f,avx512bw")))
+#else
+#define FISHEYE_HAVE_GATHER512 0
+#endif
+
 namespace fisheye::simd {
 
 bool gather_compiled() noexcept { return FISHEYE_HAVE_GATHER != 0; }
 
 bool gather_available() noexcept {
   return gather_compiled() && util::cpu_info().avx2 && !util::force_scalar();
+}
+
+GatherBody gather_body(int channels) noexcept {
+  if (!gather_compiled()) return GatherBody::Scalar;
+  static const bool wide = FISHEYE_HAVE_GATHER512 != 0 &&
+                           util::cpu_info().avx512f &&
+                           util::cpu_info().avx512bw;
+  return wide && channels == 1 ? GatherBody::Avx512 : GatherBody::Avx2;
 }
 
 namespace {
@@ -408,54 +433,250 @@ void blend_span_avx2(const SoaScratch& s, int n,
 
 #endif  // FISHEYE_HAVE_GATHER
 
-/// Float-LUT row dispatch: AVX2 when compiled in, the frame has one or
-/// three channels, and the byte offsets fit int32; scalar otherwise.
-inline void float_row(const float* __restrict mx, const float* __restrict my,
-                      int n, float lim_x, float lim_y,
-                      const std::uint8_t* __restrict base, std::size_t pitch,
-                      std::size_t total, int ch, std::uint8_t fill,
+#if FISHEYE_HAVE_GATHER512
+
+/// Lanes [0, rem) of a sixteen-lane step: all of them in full steps, the
+/// row's last pixels in its masked tail step.
+inline __mmask16 step_lanes(int rem) noexcept {
+  return static_cast<__mmask16>(rem >= 16 ? 0xFFFF : (1u << rem) - 1u);
+}
+
+/// Sixteen gray lanes: blend8_gray's arithmetic at twice the width. Two
+/// masked dword gathers (lanes outside `vec` read nothing), pshufb + madd
+/// for the horizontal stage, the 32-bit vertical stage rounded half-up,
+/// `fill` outside `valid`, and vpmovdb storing the bytes of `lanes` at
+/// `out`.
+FISHEYE_AVX512 inline void blend16_gray(const int* ibase, __m512i top,
+                                        __m512i bot, __mmask16 vec,
+                                        __mmask16 valid, __mmask16 lanes,
+                                        __m512i ax, __m512i ay, __m512i vfill,
+                                        std::uint8_t* out) noexcept {
+  const __m512i vzero = _mm512_setzero_si512();
+  const __m512i v256 = _mm512_set1_epi32(256);
+  // blend8_gray's pshufb pattern in every 128-bit lane, as dwords: bytes
+  // (0, -1, 1, -1), (4, -1, 5, -1), (8, -1, 9, -1), (12, -1, 13, -1).
+  const __m512i spread =
+      _mm512_setr4_epi32(static_cast<int>(0xFF01FF00u),
+                         static_cast<int>(0xFF05FF04u),
+                         static_cast<int>(0xFF09FF08u),
+                         static_cast<int>(0xFF0DFF0Cu));
+
+  const __m512i topw = _mm512_mask_i32gather_epi32(vzero, vec, top, ibase, 1);
+  const __m512i botw = _mm512_mask_i32gather_epi32(vzero, vec, bot, ibase, 1);
+  const __m512i wx =
+      _mm512_or_si512(_mm512_sub_epi32(v256, ax),
+                      _mm512_maskz_slli_epi32(lanes, ax, 16));
+  const __m512i t0 = _mm512_madd_epi16(_mm512_shuffle_epi8(topw, spread), wx);
+  const __m512i t1 = _mm512_madd_epi16(_mm512_shuffle_epi8(botw, spread), wx);
+  __m512i acc =
+      _mm512_add_epi32(_mm512_mullo_epi32(t0, _mm512_sub_epi32(v256, ay)),
+                       _mm512_mullo_epi32(t1, ay));
+  acc = _mm512_maskz_srli_epi32(
+      lanes, _mm512_add_epi32(acc, _mm512_set1_epi32(1 << 15)), 16);
+  acc = _mm512_mask_blend_epi32(valid, vfill, acc);
+  _mm512_mask_cvtepi32_storeu_epi8(out, lanes, acc);
+}
+
+/// One sixteen-lane float-LUT step over the `lanes` of map entries mx/my:
+/// float_row_avx2<1>'s expressions at twice the width, output at `o`.
+/// `vlim` bounds the dword reads (bot + 4 <= total).
+FISHEYE_AVX512 inline void float_step16(const float* __restrict mx,
+                                        const float* __restrict my,
+                                        __mmask16 lanes, float lim_x,
+                                        float lim_y,
+                                        const std::uint8_t* __restrict base,
+                                        int pitch, __m512i vlim,
+                                        std::uint8_t fill,
+                                        std::uint8_t* __restrict o) noexcept {
+  const __m512 vzero = _mm512_setzero_ps();
+  const __m512 v256 = _mm512_set1_ps(256.0f);
+  const __m512 vhalf = _mm512_set1_ps(0.5f);
+  const __m512i vpitch = _mm512_set1_epi32(pitch);
+
+  const __m512 sx = _mm512_maskz_loadu_ps(lanes, mx);
+  const __m512 sy = _mm512_maskz_loadu_ps(lanes, my);
+  const __m512 fx = _mm512_floor_ps(sx);
+  const __m512 fy = _mm512_floor_ps(sy);
+  // Ordered compares, chained through the masks: NaN entries are invalid,
+  // as are the lanes past the row's end.
+  __mmask16 valid = _mm512_mask_cmp_ps_mask(lanes, fx, vzero, _CMP_GE_OQ);
+  valid = _mm512_mask_cmp_ps_mask(valid, fy, vzero, _CMP_GE_OQ);
+  valid =
+      _mm512_mask_cmp_ps_mask(valid, fx, _mm512_set1_ps(lim_x), _CMP_LT_OQ);
+  valid =
+      _mm512_mask_cmp_ps_mask(valid, fy, _mm512_set1_ps(lim_y), _CMP_LT_OQ);
+  // The zero-masked conversions (and shifts in blend16_gray) sidestep
+  // GCC 12's -Wmaybe-uninitialized on the unmasked forms' undefined
+  // pass-through operand; lanes past the row's end are never stored.
+  const __m512i ax = _mm512_maskz_cvttps_epi32(
+      lanes, _mm512_add_ps(_mm512_mul_ps(_mm512_sub_ps(sx, fx), v256), vhalf));
+  const __m512i ay = _mm512_maskz_cvttps_epi32(
+      lanes, _mm512_add_ps(_mm512_mul_ps(_mm512_sub_ps(sy, fy), v256), vhalf));
+  const __m512i top = _mm512_add_epi32(
+      _mm512_mullo_epi32(_mm512_maskz_cvttps_epi32(lanes, fy), vpitch),
+      _mm512_maskz_cvttps_epi32(lanes, fx));
+  const __m512i bot = _mm512_add_epi32(top, vpitch);
+  const __mmask16 vec = _mm512_mask_cmpgt_epi32_mask(valid, vlim, bot);
+
+  blend16_gray(reinterpret_cast<const int*>(base), top, bot, vec, valid,
+               lanes, ax, ay, _mm512_set1_epi32(fill), o);
+
+  // Valid lanes the vector path skipped: recompute from the map entry
+  // with the identical integer arithmetic, so no seam.
+  unsigned fix = static_cast<unsigned>(valid & ~vec);
+  while (fix != 0) {
+    const int j = __builtin_ctz(fix);
+    fix &= fix - 1;
+    blend_float_one(mx[j], my[j], lim_x, lim_y, base,
+                    static_cast<std::size_t>(pitch), 1, fill, o + j);
+  }
+}
+
+/// AVX-512 gray float-LUT row: pixels [0, n) of map entries mx/my into
+/// out, sixteen per step; a tail under sixteen runs as one masked step.
+FISHEYE_AVX512 void float_row_avx512(const float* __restrict mx,
+                                     const float* __restrict my, int n,
+                                     float lim_x, float lim_y,
+                                     const std::uint8_t* __restrict base,
+                                     int pitch, int total, std::uint8_t fill,
+                                     std::uint8_t* __restrict out) noexcept {
+  const __m512i vlim = _mm512_set1_epi32(total - 3);  // bot + 4 <= total
+  int i = 0;
+  for (; i + 16 <= n; i += 16)
+    float_step16(mx + i, my + i, 0xFFFF, lim_x, lim_y, base, pitch, vlim,
+                 fill, out + i);
+  if (i < n)
+    float_step16(mx + i, my + i, step_lanes(n - i), lim_x, lim_y, base,
+                 pitch, vlim, fill, out + i);
+}
+
+/// One sixteen-lane pass-2 step over the `lanes` of scratch slots [i,
+/// i + 16): blend_span_avx2<1>'s expressions at twice the width, output
+/// at `out + i`. `vlim` bounds the dword reads (bot + 4 <= total).
+FISHEYE_AVX512 inline void span_step16(const SoaScratch& s, int i,
+                                       __mmask16 lanes,
+                                       const std::uint8_t* __restrict base,
+                                       int pitch, __m512i vlim,
+                                       std::uint8_t fill,
+                                       std::uint8_t* __restrict out) noexcept {
+  const __m512i vpitch = _mm512_set1_epi32(pitch);
+  const __m512i vone = _mm512_set1_epi32(1);
+
+  const __m512i x0 = _mm512_maskz_load_epi32(lanes, s.x0 + i);
+  const __m512i y0 = _mm512_maskz_load_epi32(lanes, s.y0 + i);
+  const __m512i x1 = _mm512_maskz_load_epi32(lanes, s.x1 + i);
+  const __m512i y1 = _mm512_maskz_load_epi32(lanes, s.y1 + i);
+  const __mmask16 valid = _mm512_mask_cmpgt_epi32_mask(
+      lanes, _mm512_maskz_load_epi32(lanes, s.valid + i),
+      _mm512_setzero_si512());
+  const __m512i top = _mm512_add_epi32(_mm512_mullo_epi32(y0, vpitch), x0);
+  const __m512i bot = _mm512_add_epi32(top, vpitch);
+  // Vector-eligible: valid, contiguous 2x2 footprint, in-bounds dwords.
+  __mmask16 vec =
+      _mm512_mask_cmpeq_epi32_mask(valid, x1, _mm512_add_epi32(x0, vone));
+  vec = _mm512_mask_cmpeq_epi32_mask(vec, y1, _mm512_add_epi32(y0, vone));
+  vec = _mm512_mask_cmpgt_epi32_mask(vec, vlim, bot);
+
+  std::uint8_t* o = out + i;
+  blend16_gray(reinterpret_cast<const int*>(base), top, bot, vec, valid,
+               lanes, _mm512_maskz_load_epi32(lanes, s.ax + i),
+               _mm512_maskz_load_epi32(lanes, s.ay + i),
+               _mm512_set1_epi32(fill), o);
+
+  // Valid lanes the vector path skipped (clamped footprint or buffer
+  // tail): redo scalar — identical integer math, so no seam.
+  unsigned fix = static_cast<unsigned>(valid & ~vec);
+  while (fix != 0) {
+    const int j = __builtin_ctz(fix);
+    fix &= fix - 1;
+    blend_one(s, i + j, base, static_cast<std::size_t>(pitch), 1, o + j);
+  }
+}
+
+/// AVX-512 gray pass 2 over scratch slots [0, n), sixteen per step; a
+/// tail under sixteen runs as one masked step.
+FISHEYE_AVX512 void blend_span_avx512(const SoaScratch& s, int n,
+                                      const std::uint8_t* __restrict base,
+                                      int pitch, int total,
+                                      std::uint8_t* __restrict out,
+                                      std::uint8_t fill) noexcept {
+  const __m512i vlim = _mm512_set1_epi32(total - 3);  // bot + 4 <= total
+  int i = 0;
+  for (; i + 16 <= n; i += 16)
+    span_step16(s, i, 0xFFFF, base, pitch, vlim, fill, out);
+  if (i < n)
+    span_step16(s, i, step_lanes(n - i), base, pitch, vlim, fill, out);
+}
+
+#endif  // FISHEYE_HAVE_GATHER512
+
+/// Float-LUT row dispatch: the vector `body` when the frame has one or
+/// three channels and the byte offsets fit int32 (AVX-512 takes gray rows
+/// only), scalar otherwise.
+inline void float_row(GatherBody body, const float* __restrict mx,
+                      const float* __restrict my, int n, float lim_x,
+                      float lim_y, const std::uint8_t* __restrict base,
+                      std::size_t pitch, std::size_t total, int ch,
+                      std::uint8_t fill,
                       std::uint8_t* __restrict out) noexcept {
 #if FISHEYE_HAVE_GATHER
-  if (offsets_fit_int32(total)) {
+  if (body != GatherBody::Scalar && offsets_fit_int32(total)) {
+    const int ipitch = static_cast<int>(pitch);
+    const int itotal = static_cast<int>(total);
+#if FISHEYE_HAVE_GATHER512
+    if (ch == 1 && body == GatherBody::Avx512) {
+      float_row_avx512(mx, my, n, lim_x, lim_y, base, ipitch, itotal, fill,
+                       out);
+      return;
+    }
+#endif
     if (ch == 1) {
-      float_row_avx2<1>(mx, my, n, lim_x, lim_y, base, static_cast<int>(pitch),
-                        static_cast<int>(total), fill, out);
+      float_row_avx2<1>(mx, my, n, lim_x, lim_y, base, ipitch, itotal, fill,
+                        out);
       return;
     }
     if (ch == 3) {
-      float_row_avx2<3>(mx, my, n, lim_x, lim_y, base, static_cast<int>(pitch),
-                        static_cast<int>(total), fill, out);
+      float_row_avx2<3>(mx, my, n, lim_x, lim_y, base, ipitch, itotal, fill,
+                        out);
       return;
     }
   }
 #else
+  (void)body;
   (void)total;
 #endif
   float_row_scalar(mx, my, n, lim_x, lim_y, base, pitch, ch, fill, out);
 }
 
-/// Pass 2 dispatch for one strip: AVX2 when compiled in, the frame has
-/// one or three channels, and the byte offsets fit int32; scalar
-/// otherwise.
-inline void blend_strip(const SoaScratch& s, int n,
+/// Pass 2 dispatch for one strip: the vector `body` when the frame has one
+/// or three channels and the byte offsets fit int32 (AVX-512 takes gray
+/// strips only), scalar otherwise.
+inline void blend_strip(GatherBody body, const SoaScratch& s, int n,
                         const std::uint8_t* __restrict base, std::size_t pitch,
                         std::size_t total, int ch,
                         std::uint8_t* __restrict out,
                         std::uint8_t fill) noexcept {
 #if FISHEYE_HAVE_GATHER
-  if (offsets_fit_int32(total)) {
+  if (body != GatherBody::Scalar && offsets_fit_int32(total)) {
+    const int ipitch = static_cast<int>(pitch);
+    const int itotal = static_cast<int>(total);
+#if FISHEYE_HAVE_GATHER512
+    if (ch == 1 && body == GatherBody::Avx512) {
+      blend_span_avx512(s, n, base, ipitch, itotal, out, fill);
+      return;
+    }
+#endif
     if (ch == 1) {
-      blend_span_avx2<1>(s, n, base, static_cast<int>(pitch),
-                         static_cast<int>(total), out, fill);
+      blend_span_avx2<1>(s, n, base, ipitch, itotal, out, fill);
       return;
     }
     if (ch == 3) {
-      blend_span_avx2<3>(s, n, base, static_cast<int>(pitch),
-                         static_cast<int>(total), out, fill);
+      blend_span_avx2<3>(s, n, base, ipitch, itotal, out, fill);
       return;
     }
   }
 #else
+  (void)body;
   (void)total;
 #endif
   blend_span_scalar(s, 0, n, base, pitch, ch, out, fill);
@@ -503,13 +724,22 @@ inline void prefetch_strip_sources(const core::CompactMap& map,
   }
 }
 
+/// The forced-body entry points never run a body this build or CPU lacks.
+void expect_body(GatherBody body) {
+  FE_EXPECTS(body <= gather_body(1));
+}
+
 }  // namespace
 
-void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
+namespace detail {
+
+void remap_bilinear_gather(GatherBody body,
+                           img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            const core::WarpMap& map, par::Rect rect,
                            std::uint8_t fill, SoaScratch& /*scratch*/,
                            int /*strip*/) {
+  expect_body(body);
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(rect.x0 >= 0 && rect.y0 >= 0 && rect.x1 <= dst.width &&
@@ -524,16 +754,18 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
 
   for (int y = rect.y0; y < rect.y1; ++y) {
     const std::size_t at = static_cast<std::size_t>(y) * map.width + rect.x0;
-    float_row(map.src_x.data() + at, map.src_y.data() + at, n, lim_x, lim_y,
-              src.data, pitch, total, ch, fill,
+    float_row(body, map.src_x.data() + at, map.src_y.data() + at, n, lim_x,
+              lim_y, src.data, pitch, total, ch, fill,
               dst.row(y) + static_cast<std::size_t>(rect.x0) * ch);
   }
 }
 
-void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
+void remap_packed_gather(GatherBody body,
+                         img::ConstImageView<std::uint8_t> src,
                          img::ImageView<std::uint8_t> dst,
                          const core::PackedMap& map, par::Rect rect,
                          std::uint8_t fill, SoaScratch& scratch, int strip) {
+  expect_body(body);
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(rect.x0 >= 0 && rect.y0 >= 0 && rect.x1 <= dst.width &&
@@ -579,15 +811,17 @@ void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
 
       std::uint8_t* __restrict out =
           out_row + static_cast<std::size_t>(xb) * ch;
-      blend_strip(s, n, src.data, pitch, total, ch, out, fill);
+      blend_strip(body, s, n, src.data, pitch, total, ch, out, fill);
     }
   }
 }
 
-void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
+void remap_compact_gather(GatherBody body,
+                          img::ConstImageView<std::uint8_t> src,
                           img::ImageView<std::uint8_t> dst,
                           const core::CompactMap& map, par::Rect rect,
                           std::uint8_t fill, SoaScratch& scratch, int strip) {
+  expect_body(body);
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(src.width == map.src_width && src.height == map.src_height);
@@ -601,7 +835,7 @@ void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
   const std::size_t total = pitch * static_cast<std::size_t>(src.height);
 
   const int shift = map.shift();
-  const detail::CompactPass1 pass1(map);
+  const CompactPass1 pass1(map);
 
   for (int y = rect.y0; y < rect.y1; ++y) {
     const std::size_t g0 = static_cast<std::size_t>(y >> shift) * map.grid_w;
@@ -624,9 +858,35 @@ void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
 
       std::uint8_t* __restrict out =
           out_row + static_cast<std::size_t>(xb) * ch;
-      blend_strip(s, n, src.data, pitch, total, ch, out, fill);
+      blend_strip(body, s, n, src.data, pitch, total, ch, out, fill);
     }
   }
+}
+
+}  // namespace detail
+
+void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
+                           img::ImageView<std::uint8_t> dst,
+                           const core::WarpMap& map, par::Rect rect,
+                           std::uint8_t fill, SoaScratch& scratch, int strip) {
+  detail::remap_bilinear_gather(gather_body(src.channels), src, dst, map, rect,
+                                fill, scratch, strip);
+}
+
+void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
+                         img::ImageView<std::uint8_t> dst,
+                         const core::PackedMap& map, par::Rect rect,
+                         std::uint8_t fill, SoaScratch& scratch, int strip) {
+  detail::remap_packed_gather(gather_body(src.channels), src, dst, map, rect,
+                              fill, scratch, strip);
+}
+
+void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
+                          img::ImageView<std::uint8_t> dst,
+                          const core::CompactMap& map, par::Rect rect,
+                          std::uint8_t fill, SoaScratch& scratch, int strip) {
+  detail::remap_compact_gather(gather_body(src.channels), src, dst, map, rect,
+                               fill, scratch, strip);
 }
 
 }  // namespace fisheye::simd

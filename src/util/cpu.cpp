@@ -16,6 +16,7 @@ CpuInfo detect() noexcept {
   info.sse2 = __builtin_cpu_supports("sse2") != 0;
   info.avx2 = __builtin_cpu_supports("avx2") != 0;
   info.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  info.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
   info.fma = __builtin_cpu_supports("fma") != 0;
 #endif
   return info;
@@ -45,6 +46,7 @@ std::string CpuInfo::isa() const {
   add(sse2, "sse2");
   add(avx2, "avx2");
   add(avx512f, "avx512f");
+  add(avx512bw, "avx512bw");
   add(fma, "fma");
   if (out.empty()) out = "scalar";
   return out;

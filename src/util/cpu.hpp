@@ -11,9 +11,10 @@ struct CpuInfo {
   bool sse2 = false;
   bool avx2 = false;
   bool avx512f = false;
+  bool avx512bw = false;  ///< byte/word ops: the 16-lane gray gather body
   bool fma = false;
 
-  /// One-line human-readable summary, e.g. "8 threads, avx2+fma".
+  /// One-line human-readable summary, e.g. "8 hw threads, isa: sse2+avx2+fma".
   [[nodiscard]] std::string summary() const;
 
   /// Compact ISA token, e.g. "sse2+avx2+fma", or "scalar" when the CPU

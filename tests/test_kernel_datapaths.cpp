@@ -299,14 +299,11 @@ void model_float_gather(const img::Image8& src, img::Image8& dst,
   }
 }
 
-TEST(GatherKernel, FloatMatchesIntegerBlendBitExact) {
-  // Source and output sizes that are not multiples of 8, rects whose ends
-  // are not either, and map entries that hit every validity edge: the
-  // vector loop, its buffer-end fixup and the scalar tail must all agree
-  // with the model. The source sits in a GuardedImage, so a dword read
-  // past its last byte faults.
-  const int sw = 101, sh = 37;
-  const int w = 133, h = 29;
+/// A w x h float map over an sw x sh source whose entries hit every
+/// validity edge: anywhere (outside included), the bottom-right footprints
+/// whose dword reads end the buffer, NaN, ±inf, ±3e9, negatives, the
+/// w - 1 / h - 1 limits and the floats just below them, and the interior.
+WarpMap edge_case_map(int w, int h, int sw, int sh, util::Rng& rng) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const float below_w = std::nextafter(static_cast<float>(sw - 1), 0.0f);
@@ -321,7 +318,6 @@ TEST(GatherKernel, FloatMatchesIntegerBlendBitExact) {
                               sh - 2.5f, sh - 1.5f};
   constexpr int kSpecials = sizeof(specials_x) / sizeof(specials_x[0]);
 
-  util::Rng rng(71);
   WarpMap map;
   map.width = w;
   map.height = h;
@@ -346,6 +342,19 @@ TEST(GatherKernel, FloatMatchesIntegerBlendBitExact) {
         map.src_y[i] = static_cast<float>(rng.uniform(0.0, sh - 1.0));
     }
   }
+  return map;
+}
+
+TEST(GatherKernel, FloatMatchesIntegerBlendBitExact) {
+  // Source and output sizes that are not multiples of 8, rects whose ends
+  // are not either, and map entries that hit every validity edge: the
+  // vector loop, its buffer-end fixup and the scalar tail must all agree
+  // with the model. The source sits in a GuardedImage, so a dword read
+  // past its last byte faults.
+  const int sw = 101, sh = 37;
+  const int w = 133, h = 29;
+  util::Rng rng(71);
+  const WarpMap map = edge_case_map(w, h, sw, sh, rng);
 
   simd::SoaScratch scratch;
   for (const int ch : {1, 3}) {
@@ -391,6 +400,61 @@ TEST(GatherKernel, StripLengthDoesNotChangeResults) {
                                 scratch, strip);
     EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
         << "strip=" << strip;
+  }
+}
+
+TEST(GatherKernel, Avx512MatchesAvx2BitExact) {
+  // The 16-lane gray body against the 8-lane one, both called directly so
+  // the AVX2 body stays covered on AVX-512 hosts: float, packed and compact
+  // maps with every validity edge, sources ending at a guard page, and
+  // rects 1-40 pixels wide at off-grid x0, so every masked tail length
+  // (and the strip tails at strip 24) runs.
+  if (simd::gather_body(1) != simd::GatherBody::Avx512)
+    GTEST_SKIP() << "no AVX-512BW gather body on this build or CPU";
+  using simd::GatherBody;
+  const int sw = 101, sh = 37;
+  const int w = 133, h = 29;
+  util::Rng rng(81);
+  const WarpMap map = edge_case_map(w, h, sw, sh, rng);
+  const PackedMap packed = pack_map(map, sw, sh);
+  const CompactMap cm = compact_map(map, sw, sh, 8);
+  const img::Image8 src = random_image(sw, sh, 1, 82);
+  const GuardedImage gsrc(src);
+
+  std::vector<par::Rect> rects{{0, 0, w, h}};
+  for (int width = 1; width <= 40; ++width) {
+    const int x0 = 16 * static_cast<int>(rng.next_below((w - width) / 16)) +
+                   1 + static_cast<int>(rng.next_below(15));
+    const int y0 = static_cast<int>(rng.next_below(h - 3));
+    rects.push_back({x0, y0, std::min(w, x0 + width), y0 + 3});
+  }
+  simd::SoaScratch scratch;
+  const auto run = [&](GatherBody body, par::Rect rect, int kind, int strip,
+                       img::Image8& out) {
+    out.fill(17);
+    const std::uint8_t fill = 201;
+    if (kind == 0)
+      simd::detail::remap_bilinear_gather(body, gsrc.view(), out.view(), map,
+                                          rect, fill, scratch, strip);
+    else if (kind == 1)
+      simd::detail::remap_packed_gather(body, gsrc.view(), out.view(), packed,
+                                        rect, fill, scratch, strip);
+    else
+      simd::detail::remap_compact_gather(body, gsrc.view(), out.view(), cm,
+                                         rect, fill, scratch, strip);
+  };
+  const char* kinds[] = {"float", "packed", "compact"};
+  for (int kind = 0; kind < 3; ++kind) {
+    for (const int strip : {simd::kSoaStrip, 24}) {
+      for (const par::Rect& rect : rects) {
+        img::Image8 want(w, h, 1), got(w, h, 1);
+        run(GatherBody::Avx2, rect, kind, strip, want);
+        run(GatherBody::Avx512, rect, kind, strip, got);
+        EXPECT_TRUE(img::equal_pixels<std::uint8_t>(want.view(), got.view()))
+            << kinds[kind] << " strip=" << strip << " rect=(" << rect.x0
+            << ',' << rect.y0 << ',' << rect.x1 << ',' << rect.y1 << ')';
+      }
+    }
   }
 }
 
@@ -558,6 +622,21 @@ TEST(Datapath, DescribeNamesKernelAndIsa) {
             std::string::npos)
       << d;
   EXPECT_NE(d.find("isa="), std::string::npos) << d;
+
+  // A gather plan also names the vector body it runs.
+  const auto gather =
+      BackendRegistry::create("simd:threads=1,datapath=gather");
+  const ExecutionPlan gplan = gather->plan(f.ctx());
+  const std::string g = gplan.describe();
+  if (gplan.kernel().key().variant == KernelVariant::SimdGather) {
+    const std::string body =
+        std::string("simd-gather[") +
+        simd::gather_body_name(simd::gather_body(1)) + ']';
+    EXPECT_NE(g.find(body), std::string::npos) << g;
+  } else {
+    EXPECT_EQ(g.find("simd-gather["), std::string::npos) << g;
+  }
+  EXPECT_EQ(d.find("simd-gather["), std::string::npos) << d;
 }
 
 TEST(Datapath, GatherAvailabilityIsConsistent) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <latch>
 #include <map>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "parallel/placement.hpp"
 #include "parallel/sync.hpp"
 #include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/error.hpp"
 
 #if defined(__linux__)
@@ -101,6 +103,29 @@ TEST(ThreadPool, RunIndexedUsesMultipleWorkers) {
   });
   EXPECT_GE(ids.size(), 1u);
   EXPECT_LE(ids.size(), 4u);
+}
+
+TEST(ThreadPool, RunIndexedDoesNotWaitForOtherServices) {
+  // A 1-lane stream service holds one of four lanes until it is stopped;
+  // run_indexed(3) on the other three must return without waiting for it.
+  // The call runs through std::async with a bounded wait, so a regression
+  // fails here instead of hanging the suite.
+  ThreadPool pool(4);
+  WorkStealingPool service(pool);
+  StreamScheduler streams(1, 1);
+  service.start_service(streams);
+  std::atomic<std::size_t> ran{0};
+  auto call = std::async(std::launch::async, [&] {
+    pool.run_indexed(3, [&ran](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  const std::future_status status = call.wait_for(std::chrono::seconds(10));
+  service.stop_service();  // lets a regressed call finish before `call` joins
+  EXPECT_EQ(status, std::future_status::ready)
+      << "run_indexed waited for an unrelated service lane";
+  call.get();
+  EXPECT_EQ(ran.load(), 3u);
 }
 
 TEST(ThreadPool, DefaultPoolIsSingleton) {
